@@ -263,7 +263,7 @@ end do
 end
 `
 	auto := SelectedOptions()
-	auto.AutoPrivatizeArrays = true
+	auto.Privatization = PrivInfer
 	b.Run("auto", func(b *testing.B) { benchCell(b, src, 8, auto) })
 	b.Run("off", func(b *testing.B) { benchCell(b, src, 8, SelectedOptions()) })
 }

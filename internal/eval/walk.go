@@ -11,9 +11,9 @@ import (
 )
 
 // Backend receives the walk's execution events. The walker has already
-// updated the State when an event fires except where noted; backends charge
-// their cost model or perform real communication, and may abort the walk by
-// returning an error.
+// updated the State when an event fires except where noted. Both execution
+// backends observe the walk through the plan driver (Driver); a Backend may
+// abort the walk by returning an error.
 type Backend interface {
 	// LoopEntry fires once per entry of a loop, after the bounds statement
 	// and with the loop index set to the lower bound (so affine evaluation

@@ -1,22 +1,23 @@
 // Chaos mode: wall-clock fault tolerance for the concurrent backend.
 //
 // When the run has an active fault plan or a checkpoint interval, every
-// worker replays the cost model on its own machine with its own seeded
-// injector — the identical call sequence the simulator makes, so modeled
-// Stats, simulated Time, and fault-event counts agree with sim bitwise by
-// construction (the differential oracle demands exactly that).
+// worker feeds its own accountant (sim.Accountant) with its own seeded
+// injector. Every worker's plan driver emits the simulator's operation
+// sequence, so modeled Stats, simulated Time, and fault events agree with
+// sim bitwise by construction (the differential oracle demands exactly
+// that).
 //
-// Crash recovery has two paths. The default, coordinated path mirrors the
-// simulator's model: a scheduled fail-stop crash fires at the same
-// crash-check site on every worker (same injector, same draw), each worker
-// replays the simulator's Recover charge, restores its own memory from the
-// last coordinated checkpoint snapshot, physically refetches the crashed
-// processor's non-replicated state from a survivor, and re-executes the
-// lost interval with accounting and tracing suppressed — so the final cost
-// model never double-charges. The hard path (Config.HardCrashes, real
-// panics, stalls) kills the worker set for real and heals at the run level:
-// Run restores all workers from executor-held snapshots of the last
-// complete checkpoint generation and re-spawns them with fresh transport.
+// Crash recovery has two paths. On the default, coordinated path a
+// scheduled fail-stop crash fires at the same crash-check site on every
+// worker (same injector, same draw); each worker's accountant charges the
+// recovery, the worker restores its own memory from the last coordinated
+// checkpoint snapshot, physically refetches the crashed processor's
+// non-replicated state from a survivor, and re-executes the lost interval
+// with accounting and tracing suppressed — so the final cost model never
+// double-charges. The hard path (Config.HardCrashes, real panics, stalls)
+// kills the worker set for real and heals at the run level: Run restores
+// all workers from executor-held snapshots of the last complete checkpoint
+// generation and re-spawns them with fresh transport.
 package exec
 
 import (
@@ -26,24 +27,21 @@ import (
 
 	"phpf/internal/eval"
 	"phpf/internal/fault"
-	"phpf/internal/machine"
+	"phpf/internal/sim"
 )
 
 // workerSnap is one worker's published checkpoint: everything needed to
 // rebuild the worker at that boundary. The memory snapshot serves the
-// coordinated in-band restore; the rest (sequence counters, machine
-// accounting, injector draw position) serves the run-level heal, which
-// rebuilds transport from scratch.
+// coordinated in-band restore; the rest (sequence counters, accountant
+// state) serves the run-level heal, which rebuilds transport from scratch.
 type workerSnap struct {
-	gen      int64
-	state    *eval.Snapshot
-	cursor   eval.Cursor
-	sendSeq  []uint64
-	recvSeq  []uint64
-	mach     machine.State
-	inj      *fault.Injector
-	lastCkpt float64
-	valid    bool
+	gen     int64
+	state   *eval.Snapshot
+	cursor  eval.Cursor
+	sendSeq []uint64
+	recvSeq []uint64
+	acct    sim.AccountantState
+	valid   bool
 }
 
 // crashSignal unwinds a worker's walk when scheduled fail-stop crashes fire
@@ -63,7 +61,7 @@ func (c *crashSignal) Error() string {
 // mid-protocol and the run-level heal recovers.
 type failStop struct {
 	crash fault.Crash
-	at    float64 // replayed clock when the crash fired
+	at    float64 // simulated time when the crash fired
 }
 
 // healState is the plan for one run-level heal: a complete snapshot
@@ -72,67 +70,31 @@ type failStop struct {
 type healState struct {
 	snaps []workerSnap
 	crash *fault.Crash
-	at    float64 // replayed clock of the crash (0 when crash is nil)
+	at    float64 // simulated time of the crash (0: no lost work)
 }
 
-// setupChaos equips every worker with its replay machine and injector and,
-// on a heal, rewinds them to the heal's checkpoint generation. It runs on
-// Run's goroutine before workers spawn, so worker 0's shard-0 trace
-// emission from the Recover charge below is race-free.
-func (ex *executor) setupChaos(workers []*worker, heal *healState) {
-	ex.machines = make([]*machine.Machine, ex.n)
+// heal rewinds every worker to the heal's checkpoint generation and, for a
+// crash, charges its recovery on every accountant (marking it fired so it
+// cannot refire) and schedules the physical refetch at worker start. It
+// runs on Run's goroutine before workers spawn, so worker 0's shard-0 trace
+// emission from the recovery charge is race-free.
+func (ex *executor) heal(workers []*worker, h *healState) {
 	for p, w := range workers {
-		m := machine.New(ex.prog.Grid(), ex.cfg.Params)
-		inj := fault.NewInjector(ex.cfg.Fault)
-		if heal != nil {
-			snap := heal.snaps[p]
-			m.RestoreState(snap.mach)
-			inj = snap.inj.Clone()
-			w.gen = snap.gen
-			w.lastCkpt = snap.lastCkpt
-			copy(w.sendSeq, snap.sendSeq)
-			copy(w.recvSeq, snap.recvSeq)
-			cur := snap.cursor
-			w.resume = &cur
-			// Re-seed the published snapshots so a second failure before
-			// the next checkpoint can heal from the same generation.
-			ex.snaps[p] = snap
-			ex.prevSnaps[p] = workerSnap{}
+		snap := h.snaps[p]
+		w.acct.Restore(snap.acct)
+		w.gen = snap.gen
+		copy(w.sendSeq, snap.sendSeq)
+		copy(w.recvSeq, snap.recvSeq)
+		cur := snap.cursor
+		w.resume = &cur
+		// Re-seed the published snapshots so a second failure before the
+		// next checkpoint can heal from the same generation.
+		ex.snaps[p] = snap
+		ex.prevSnaps[p] = workerSnap{}
+		if h.crash != nil {
+			w.acct.Heal(*h.crash, h.at)
+			w.healCrash = h.crash
 		}
-		m.Fault = inj
-		if p == 0 {
-			ex.mach = m
-			if ex.rec != nil {
-				// Worker 0's replay machine contributes the fault-protocol
-				// events (checkpoint/restart/fault) stamped with wall time;
-				// everything else the workers emit themselves from real
-				// activity, so nothing is double-counted.
-				m.Rec = ex.rec
-				m.FaultEventsOnly = true
-				m.Now = ex.wall
-			}
-		}
-		ex.machines[p] = m
-		w.mach = m
-		w.inj = inj
-	}
-	if heal == nil || heal.crash == nil {
-		return
-	}
-	// Replay the simulator's recovery accounting for the healed crash on
-	// every machine, mark the crash consumed so it cannot refire, and
-	// schedule the physical refetch at worker start.
-	for p, w := range workers {
-		snap := heal.snaps[p]
-		lost := heal.at - snap.lastCkpt
-		if lost < 0 {
-			lost = 0
-		}
-		bytes, msgs := eval.RefetchCost(w.st, heal.crash.Proc, int64(ex.cfg.Params.ElemBytes))
-		ex.machines[p].Recover(heal.crash.Proc, lost, bytes, msgs)
-		w.lastCkpt = ex.machines[p].Time()
-		w.inj.Consume(*heal.crash)
-		w.healCrash = heal.crash
 	}
 }
 
@@ -153,7 +115,7 @@ func (ex *executor) runChaosWorker(w *worker) error {
 	cur := w.resume
 	w.resume = nil
 	for {
-		err := eval.WalkResume(w.st, w, cur)
+		err := eval.WalkResume(w.st, w.drv, cur)
 		if err == nil {
 			// Drain any message batch left open by trailing statements.
 			err = w.flushBatch()
@@ -163,11 +125,11 @@ func (ex *executor) runChaosWorker(w *worker) error {
 			return err
 		}
 		// Coordinated restore: every worker caught the same signal at the
-		// same site. Memory rolls back to the last checkpoint; the machine
-		// and injector do NOT (they went through Recover, exactly like the
-		// simulator's, and replay suppression keeps their draw streams
-		// aligned); sequence counters roll forward so re-executed sends get
-		// fresh, consistent numbers on every edge.
+		// same site. Memory rolls back to the last checkpoint; the
+		// accountant does NOT (it charged the recovery, and replay
+		// suppression keeps its draw stream aligned); sequence counters roll
+		// forward so re-executed sends get fresh, consistent numbers on
+		// every edge.
 		snap := ex.snaps[w.proc]
 		w.st.Restore(snap.state)
 		w.batch = openBatch{}
@@ -185,12 +147,15 @@ func (ex *executor) runChaosWorker(w *worker) error {
 	}
 }
 
-// crashCheck is one crash-check site — placed exactly where the simulator
-// calls checkTime (per loop tick, after each hoisted communication, after
-// each non-skipped per-instance communication, after a redistribution).
-// During replay it only advances the site counter, lifting suppression at
-// the recorded crash site.
-func (w *worker) crashCheck() error {
+// Site is one crash-check site. Outside chaos mode nothing can fire (and
+// Tick already enforces cancellation). During replay it only advances the
+// site counter, lifting suppression at the recorded crash site; otherwise
+// the accountant fires the crashes now due, and a recovered crash unwinds
+// the walk for the coordinated restore.
+func (w *worker) Site() error {
+	if !w.ex.chaos {
+		return nil
+	}
 	w.sites++
 	if w.replay {
 		if w.sites >= w.replayTarget {
@@ -198,58 +163,31 @@ func (w *worker) crashCheck() error {
 		}
 		return nil
 	}
-	if w.inj == nil {
-		return nil
-	}
-	var crashes []fault.Crash
-	// Drain until quiescent, like the simulator: each Recover advances the
-	// clocks, which may bring the next scheduled crash due.
-	for {
-		c := w.inj.PendingCrash(w.mach.Time())
-		if c == nil {
-			break
-		}
-		if w.ex.cfg.HardCrashes {
+	if w.ex.cfg.HardCrashes {
+		// The doomed worker dies mid-protocol; peers let its panic tear the
+		// attempt down, and the run-level heal restores everyone (their
+		// injectors are rebuilt from the snapshot, so firing here is safe).
+		for c := w.acct.PendingCrash(); c != nil; c = w.acct.PendingCrash() {
 			if c.Proc == w.proc {
-				panic(&failStop{crash: *c, at: w.mach.Time()})
+				panic(&failStop{crash: *c, at: w.acct.Machine().Time()})
 			}
-			// Peers let the doomed worker's panic tear the attempt down;
-			// the run-level heal restores everyone (their own injector is
-			// rebuilt from the snapshot then, so consuming here is safe).
-			continue
 		}
-		lost := w.mach.Time() - w.lastCkpt
-		if lost < 0 {
-			lost = 0
-		}
-		bytes, msgs := eval.RefetchCost(w.st, c.Proc, w.elemBytes())
-		w.mach.Recover(c.Proc, lost, bytes, msgs)
-		w.lastCkpt = w.mach.Time()
-		crashes = append(crashes, *c)
 	}
-	if len(crashes) == 0 {
-		return nil
+	if err := w.acct.Site(); err != nil {
+		return err
 	}
-	return &crashSignal{crashes: crashes, target: w.sites}
+	if crashed := w.acct.Crashed(); len(crashed) > 0 {
+		return &crashSignal{crashes: append([]fault.Crash(nil), crashed...), target: w.sites}
+	}
+	return nil
 }
 
-// maybeCheckpoint takes a coordinated checkpoint when the replayed clock
-// has advanced past the interval — the same condition, at the same
-// loop-entry boundaries, as the simulator — then synchronizes all workers
-// with a real barrier and publishes a snapshot. Suppressed during replay:
-// by definition no checkpoint fired between the restored checkpoint and the
+// checkpoint completes a coordinated checkpoint the accountant took at a
+// loop-entry boundary: it synchronizes all workers with a real barrier and
+// publishes a snapshot. The accountant takes none during replay: by
+// definition no checkpoint fired between the restored checkpoint and the
 // crash, so none may fire during re-execution either.
-func (w *worker) maybeCheckpoint() error {
-	if w.replay || w.ex.cfg.CheckpointInterval <= 0 {
-		return nil
-	}
-	now := w.mach.Time()
-	if now-w.lastCkpt < w.ex.cfg.CheckpointInterval {
-		return nil
-	}
-	w.mach.ClearAttr()
-	w.mach.Checkpoint(eval.CheckpointBytes(w.st, w.elemBytes()))
-	w.lastCkpt = w.mach.Time()
+func (w *worker) checkpoint() error {
 	// The barrier before the snapshot bounds generation skew to one: a
 	// worker publishing gen k+1 proves every worker reached this boundary,
 	// so all hold at least gen k — the run-level heal relies on that.
@@ -268,15 +206,13 @@ func (w *worker) takeSnapshot() {
 	cur, _ := w.st.Cursor() // zero cursor (resume from start) outside LoopEntry
 	w.gen++
 	snap := workerSnap{
-		gen:      w.gen,
-		state:    w.st.Snapshot(),
-		cursor:   cur,
-		sendSeq:  append([]uint64(nil), w.sendSeq...),
-		recvSeq:  append([]uint64(nil), w.recvSeq...),
-		mach:     w.mach.SaveState(),
-		inj:      w.inj.Clone(),
-		lastCkpt: w.lastCkpt,
-		valid:    true,
+		gen:     w.gen,
+		state:   w.st.Snapshot(),
+		cursor:  cur,
+		sendSeq: append([]uint64(nil), w.sendSeq...),
+		recvSeq: append([]uint64(nil), w.recvSeq...),
+		acct:    w.acct.Save(),
+		valid:   true,
 	}
 	w.ex.prevSnaps[w.proc] = w.ex.snaps[w.proc]
 	w.ex.snaps[w.proc] = snap
@@ -394,29 +330,27 @@ func (ex *executor) buildHeal(err error) *healState {
 			// A real panic has no modeled crash time: account a crash of
 			// that processor with no lost-work charge beyond the refetch.
 			h.crash = &fault.Crash{Proc: we.Proc}
-			h.at = snaps[we.Proc].lastCkpt
 		}
 	}
 	return h
 }
 
-// checkMachineAgreement verifies every worker's replayed cost model agrees
-// bitwise with worker 0's — the chaos-mode analogue of the memory
-// consistency sweep (identical machines prove the replicated fault draws
-// never diverged).
-func (ex *executor) checkMachineAgreement() error {
+// checkMachineAgreement verifies every worker's accountant agrees bitwise
+// with worker 0's — the chaos-mode analogue of the memory consistency sweep
+// (identical accounts prove the replicated fault draws never diverged).
+func (ex *executor) checkMachineAgreement(workers []*worker) error {
 	if !ex.chaos {
 		return nil
 	}
-	ref := ex.machines[0]
-	for p := 1; p < len(ex.machines); p++ {
-		m := ex.machines[p]
+	ref := workers[0].acct.Machine()
+	for p := 1; p < len(workers); p++ {
+		m := workers[p].acct.Machine()
 		if math.Float64bits(m.Time()) != math.Float64bits(ref.Time()) {
-			return &DivergenceError{Proc: p, Peer: 0, What: "replayed simulated time",
+			return &DivergenceError{Proc: p, Peer: 0, What: "accounted simulated time",
 				Got: m.Time(), Want: ref.Time()}
 		}
 		if m.Stats != ref.Stats {
-			return &DivergenceError{Proc: p, Peer: 0, What: "replayed cost-model statistics",
+			return &DivergenceError{Proc: p, Peer: 0, What: "accounted cost-model statistics",
 				Got: float64(m.Stats.Messages), Want: float64(ref.Stats.Messages)}
 		}
 	}

@@ -68,7 +68,7 @@ func TestChaosMatrix(t *testing.T) {
 	}
 	for progName, src := range progs {
 		prog := compile(t, src, 4, core.DefaultOptions())
-		clean, err := sim.Run(prog, sim.Config{})
+		clean, err := sim.RunContext(context.Background(), prog, sim.Config{})
 		if err != nil {
 			t.Fatalf("%s: clean sim: %v", progName, err)
 		}
@@ -150,7 +150,7 @@ func TestChaosReproducible(t *testing.T) {
 // generation, refetch, and finish with consistent results.
 func TestHardCrashHeal(t *testing.T) {
 	prog := compile(t, programs.DGEFA(12), 4, core.DefaultOptions())
-	clean, err := sim.Run(prog, sim.Config{})
+	clean, err := sim.RunContext(context.Background(), prog, sim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

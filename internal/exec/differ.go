@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 
 	"phpf/internal/core"
@@ -36,13 +37,13 @@ type Differ struct {
 	Exec Config
 	// Trace, when non-nil, traces both runs and extends the comparison to
 	// event-level agreement: per-communication-class message and byte
-	// counts, and the counts of reduction, fault, checkpoint, and restart
-	// events, must match exactly.
+	// counts, the count of reduction events, and the fault, checkpoint, and
+	// restart events per statement and class must match exactly.
 	Trace *trace.Options
 
 	// Fault, when non-nil and active, injects the same seeded fault plan
-	// into both backends. The concurrent backend replays the simulator's
-	// seeded draws, so modeled stats and fault-event counts must agree
+	// into both backends. Both charge the same seeded draws through the
+	// same accountant, so modeled stats and fault events must agree
 	// bitwise — which is exactly what the comparison then checks.
 	Fault *fault.Plan
 	// CheckpointInterval, when > 0, enables coordinated checkpointing at
@@ -230,12 +231,11 @@ func (r *DiffReport) compare() {
 		if s, e := st.MergedCount(), et.MergedCount(); s != e {
 			miss("trace merged partials: sim %d, exec %d", s, e)
 		}
-		// Per-class fault-protocol events: both backends emit them from the
-		// same replayed injector draws, so the counts must coincide.
-		for _, k := range []trace.Kind{trace.Fault, trace.Checkpoint, trace.Restart} {
-			if s, e := st.KindCount(k), et.KindCount(k); s != e {
-				miss("trace %s events: sim %d, exec %d", k, s, e)
-			}
+		// Fault-protocol events: both backends charge the same seeded draws
+		// through the same accountant, so the events must coincide per
+		// kind, statement and class.
+		if s, e := st.FaultCounts(), et.FaultCounts(); !reflect.DeepEqual(s, e) {
+			miss("trace fault events per (kind, stmt, class): sim %v, exec %v", s, e)
 		}
 	}
 }

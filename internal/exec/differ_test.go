@@ -74,7 +74,7 @@ func TestDifferMatrix(t *testing.T) {
 					// runnable programs (they trap on an uninitialized
 					// subscript). The differential statement then is that
 					// BOTH backends must reject them.
-					if _, serr := sim.Run(prog, sim.Config{}); serr != nil {
+					if _, serr := sim.RunContext(context.Background(), prog, sim.Config{}); serr != nil {
 						if _, eerr := Run(context.Background(), prog, Config{}); eerr == nil {
 							t.Fatalf("sim rejects (%v) but exec runs", serr)
 						}

@@ -1,11 +1,20 @@
 // Package exec is the concurrent SPMD execution backend: one goroutine per
 // simulated processor runs the planned SPMD program for real, exchanging
 // messages over channel-based bounded mailboxes wherever the communication
-// plan (comm.Requirement) says data must move. It shares its entire
-// interpretation core — value semantics, execution sets, communication
-// decisions — with the sequential simulator (internal/sim) through
-// internal/eval, which is what lets the differential oracle (Differ) demand
-// bit-for-bit agreement between the two backends.
+// plan (comm.Requirement) says data must move.
+//
+// Each worker is driver + transport. The plan driver (eval.Driver) is the
+// same one the simulator runs: it decides every operation of the plan —
+// hoisted and per-instance transfers, combines, copy-outs,
+// redistributions, checkpoint boundaries, crash-check sites — and hands
+// each to the worker, whose transport performs the matching real traffic.
+// A charging worker (worker 0, or every worker in chaos mode) first feeds
+// the operation to its own sim.Accountant, the simulator's cost model, so
+// the run's Time and Stats are the simulator's by construction and the
+// differential oracle (Differ) can demand bit-for-bit agreement. Each
+// accountant is owned by its worker's goroutine, so accounting needs no
+// locking; the real channel traffic is verified independently, through
+// per-edge sequence numbers, requirement tags, and the watchdog.
 //
 // Execution is replicated: every worker interprets the full program over its
 // own memory image, exactly as the simulator interprets it over its single
@@ -15,30 +24,20 @@
 // receivers verify, bitwise, that the replicated images have not diverged;
 // a final cross-worker sweep verifies complete memory agreement.
 //
-// The physical transport vectorizes: contiguous per-instance element
-// transfers for one (source, destination, statement) — the inner-loop
-// pattern the paper's message vectorization targets — coalesce into a
-// single batched mailbox message carrying the element count and a checksum
-// of the batched values, flushed whenever the batch key changes or other
-// planned traffic must flow. The cost-model replay and the trace's exact
-// counters are unaffected: the accountant still charges every instance, and
-// a flushed batch emits one trace event that stands for Count messages.
-//
-// Communication statistics are kept exactly comparable with the simulator
-// by a deterministic accountant: worker 0 — which observes every planned
-// event in program order, like the simulator does — replays the same
-// machine.Machine calls with the same arguments. The machine instance is
-// owned by that one goroutine, so the accounting needs no locking, and the
-// resulting Stats (and simulated clocks) are identical to the sequential
-// run by construction. The real channel traffic is verified independently,
-// through per-edge sequence numbers, requirement tags, and the watchdog.
+// The transport vectorizes: contiguous per-instance element transfers for
+// one (source, destination, statement) — the inner-loop pattern the
+// paper's message vectorization targets — coalesce into a single batched
+// mailbox message carrying the element count and a checksum of the batched
+// values, flushed whenever the batch key changes or other planned traffic
+// must flow. The accountant still charges every instance, and a flushed
+// batch emits one trace event that stands for Count messages.
 //
 // Robustness: a worker panic is contained and surfaced as *WorkerError
 // with the process intact; a wedged worker set is detected by the stall
 // watchdog and reported as *StallError naming the blocked operations; and
 // cancellation or deadline on the caller's context unwinds every worker
-// (replacing the simulator's ad-hoc simulated-time cutoff with real
-// wall-clock enforcement).
+// (replacing the simulator's simulated-time cutoff with real wall-clock
+// enforcement).
 package exec
 
 import (
@@ -58,6 +57,7 @@ import (
 	"phpf/internal/fault"
 	"phpf/internal/ir"
 	"phpf/internal/machine"
+	"phpf/internal/sim"
 	"phpf/internal/spmd"
 	"phpf/internal/trace"
 )
@@ -69,10 +69,10 @@ const DefaultMailboxDepth = 64
 // declares the worker set stalled.
 const DefaultStallTimeout = 10 * time.Second
 
-// Config controls a concurrent run.
+// Config controls a concurrent run. Params, Fault, CheckpointInterval,
+// MaxCells and Reduce configure the accountant exactly as in sim.Config and
+// are validated by sim.Config.Validate.
 type Config struct {
-	// Params is the machine cost model used for the statistics accounting
-	// (zero value = machine.SP2(), mirroring sim.Config).
 	Params machine.Params
 	// Workers is the requested worker count. The SPMD program is planned
 	// for exactly NProcs processors and every planned rendezvous names
@@ -93,38 +93,24 @@ type Config struct {
 	// Nil keeps the event path emission-free.
 	Trace *trace.Options
 
-	// Fault, when non-nil and active, injects the seeded fault plan into
-	// the run at two layers. The model layer replays the simulator's fault
-	// accounting on every worker (identical seeded draws, so Stats, Time,
-	// and fault-event counts agree bitwise with sim for the same plan).
-	// The wire layer makes losses, duplicates, and slowdowns physical:
-	// keyed per-(src,dst,seq,attempt) draws drop or duplicate real mailbox
+	// Fault, when active, also acts on the wire: keyed
+	// per-(src,dst,seq,attempt) draws drop or duplicate real mailbox
 	// transmissions, healed by an ack/retransmit protocol with exponential
 	// backoff — reproducible for a fixed seed regardless of goroutine
-	// interleaving.
+	// interleaving — and slowdowns delay real senders.
 	Fault *fault.Plan
-	// CheckpointInterval > 0 takes coordinated checkpoints — barrier-
-	// aligned dense snapshots of every worker's eval.State — whenever the
-	// replayed cost model's simulated clock has advanced that many seconds
-	// since the last one, at the same loop-entry boundaries the simulator
-	// checkpoints at (so the two backends' checkpoint schedules coincide).
+	// CheckpointInterval > 0 makes each checkpoint the accountants take a
+	// barrier-aligned dense snapshot of every worker's eval.State.
 	CheckpointInterval float64
 	// MaxRestarts bounds run-level heals: full restarts from the last
 	// complete checkpoint after a real worker panic or a watchdog-detected
 	// stall. 0 means DefaultMaxRestarts; negative disables healing.
 	MaxRestarts int
-	// MaxCells caps the total array cells of each worker's memory image
-	// (0 = unlimited; see eval.Budget). Every worker holds a full
+	// MaxCells caps each worker's memory image. Every worker holds a full
 	// replicated image, so a run's worst-case footprint is
-	// MaxCells × 8 bytes × workers. A breach fails the run with a coded
-	// E006 diagnostic before the images are allocated.
+	// MaxCells × 8 bytes × workers.
 	MaxCells int64
-	// Reduce selects the runtime reduction strategy (mirroring sim.Config):
-	// ReduceAuto privatizes every reduction the reduceplan cleared,
-	// ReduceCollective forces the §2.3 collective, ReducePrivatize demands
-	// privatization and fails (E005) when any recognized reduction is
-	// collective-only.
-	Reduce core.ReduceMode
+	Reduce   core.ReduceMode
 	// HardCrashes makes scheduled fail-stop crashes kill the worker
 	// goroutine for real (a panic unwinds it mid-protocol) instead of the
 	// default coordinated unwind. Recovery then goes through the run-level
@@ -143,14 +129,20 @@ type Config struct {
 	testDelayUnit time.Duration
 }
 
+// simConfig is the part of the configuration the accountant consumes.
+func (c Config) simConfig() sim.Config {
+	return sim.Config{Params: c.Params, Fault: c.Fault, CheckpointInterval: c.CheckpointInterval,
+		MaxCells: c.MaxCells, Reduce: c.Reduce}
+}
+
 // DefaultMaxRestarts is the default bound on run-level heals.
 const DefaultMaxRestarts = 3
 
 // Result is the outcome of a concurrent run.
 type Result struct {
-	// Time and Stats are the accountant's replay of the cost model —
-	// directly comparable with (and, fault-free, identical to) the
-	// sequential simulator's.
+	// Time and Stats are worker 0's accountant's cost model — identical to
+	// the sequential simulator's for the same configuration, unless a
+	// run-level heal re-executed an interval.
 	Time  float64
 	Stats machine.Stats
 
@@ -202,12 +194,12 @@ type message struct {
 
 // Protocol tags for traffic that does not belong to a planned requirement.
 const (
-	tagReduce       = -2 // member -> root partial-value message
-	tagReduceResult = -3 // root -> member combined-result message
-	tagBarrier      = -4 // member -> coordinator redistribution barrier
-	tagRelease      = -5 // coordinator -> member barrier release
-	tagCkpt         = -6 // member -> coordinator checkpoint barrier
-	tagCkptRelease  = -7 // coordinator -> member checkpoint release
+	tagReduce       = -2  // member -> root partial-value message
+	tagReduceResult = -3  // root -> member combined-result message
+	tagBarrier      = -4  // member -> coordinator redistribution barrier
+	tagRelease      = -5  // coordinator -> member barrier release
+	tagCkpt         = -6  // member -> coordinator checkpoint barrier
+	tagCkptRelease  = -7  // coordinator -> member checkpoint release
 	tagRefetch      = -8  // survivor -> restarted recovery refetch
 	tagCopyOut      = -9  // lastprivate final-value broadcast, root -> member
 	tagMerge        = -10 // privatized-reduction tree-merge hop, loser -> winner
@@ -223,11 +215,9 @@ type executor struct {
 
 	// mail[from][to] is the bounded mailbox for one directed edge.
 	mail [][]chan message
-	// mach is the accountant's machine; owned exclusively by worker 0's
-	// goroutine while workers run, read by Run after they all finish. In
-	// chaos mode it is worker 0's replay machine (every worker then owns
-	// one; see machines).
-	mach *machine.Machine
+	// acct is worker 0's accountant: owned exclusively by its goroutine
+	// while workers run, read by Run after they all finish.
+	acct *sim.Accountant
 	wd   *watchdog
 	// reqDesc names each planned requirement for watchdog reports.
 	reqDesc map[int]string
@@ -240,14 +230,13 @@ type executor struct {
 	traffic atomic.Int64
 
 	// Chaos mode (an active fault plan or a checkpoint interval): every
-	// worker replays the cost model on its own machine with its own
-	// injector clone, snapshots its state at coordinated checkpoints, and
-	// the wire layer (when the plan has wire faults) drops, duplicates,
-	// and delays real transmissions.
-	chaos    bool
-	winj     *fault.WallInjector
-	wire     *wireNet
-	machines []*machine.Machine
+	// worker feeds its own accountant with its own seeded injector,
+	// snapshots its state at coordinated checkpoints, and the wire layer
+	// (when the plan has wire faults) drops, duplicates, and delays real
+	// transmissions.
+	chaos bool
+	winj  *fault.WallInjector
+	wire  *wireNet
 	// snaps/prevSnaps hold each worker's last two published checkpoint
 	// snapshots. A worker writes only its own slot; Run reads them after
 	// the workers join (the WaitGroup orders the accesses).
@@ -278,10 +267,10 @@ func Run(ctx context.Context, p *spmd.Program, cfg Config) (*Result, error) {
 	if cfg.Params == (machine.Params{}) {
 		cfg.Params = machine.SP2()
 	}
-	if err := cfg.Params.Validate(); err != nil {
-		return nil, fmt.Errorf("exec: %w", err)
-	}
 	n := p.NProcs()
+	if err := cfg.simConfig().Validate(n); err != nil {
+		return nil, &ConfigError{Msg: err.Error()}
+	}
 	if cfg.Workers != 0 && cfg.Workers != n {
 		return nil, &ConfigError{Msg: fmt.Sprintf(
 			"program is planned for %d processors; Workers must be 0 or %d, got %d (a smaller worker set would deadlock the planned rendezvous)",
@@ -297,30 +286,6 @@ func Run(ctx context.Context, p *spmd.Program, cfg Config) (*Result, error) {
 	stall := cfg.StallTimeout
 	if stall == 0 {
 		stall = DefaultStallTimeout
-	}
-	if err := cfg.Fault.Validate(); err != nil {
-		return nil, fmt.Errorf("exec: %w", err)
-	}
-	if cfg.Fault.Active() {
-		for _, c := range cfg.Fault.Crashes {
-			if c.Proc >= n {
-				return nil, &ConfigError{Msg: fmt.Sprintf("crash names processor %d; the program runs on %d", c.Proc, n)}
-			}
-		}
-		for _, s := range cfg.Fault.Slowdowns {
-			if s.Proc >= n {
-				return nil, &ConfigError{Msg: fmt.Sprintf("slowdown names processor %d; the program runs on %d", s.Proc, n)}
-			}
-		}
-	}
-	if cfg.CheckpointInterval < 0 || math.IsNaN(cfg.CheckpointInterval) || math.IsInf(cfg.CheckpointInterval, 0) {
-		return nil, &ConfigError{Msg: fmt.Sprintf("CheckpointInterval must be finite and >= 0, got %v", cfg.CheckpointInterval)}
-	}
-	if cfg.MaxCells < 0 {
-		return nil, &ConfigError{Msg: fmt.Sprintf("MaxCells must be >= 0 (0 = unlimited), got %d", cfg.MaxCells)}
-	}
-	if cfg.Reduce < core.ReduceAuto || cfg.Reduce > core.ReducePrivatize {
-		return nil, &ConfigError{Msg: fmt.Sprintf("unknown Reduce mode %d", int(cfg.Reduce))}
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -419,7 +384,7 @@ func (ex *executor) attempt(ctx context.Context, stall time.Duration, heal *heal
 	}
 	workers := make([]*worker, n)
 	for i := range workers {
-		workers[i] = &worker{
+		w := &worker{
 			ex:       ex,
 			proc:     i,
 			st:       states[i],
@@ -427,12 +392,25 @@ func (ex *executor) attempt(ctx context.Context, stall time.Duration, heal *heal
 			recvSeq:  make([]uint64, n),
 			attrStmt: -1,
 		}
+		if i == 0 || ex.chaos {
+			w.acct = sim.NewAccountant(cctx, states[i], ex.cfg.simConfig())
+		}
+		w.drv = eval.NewDriver(states[i], w, ex.cfg.Params)
+		workers[i] = w
 	}
-	if ex.chaos {
-		ex.setupChaos(workers, heal)
-	} else {
-		ex.mach = machine.New(ex.prog.Grid(), ex.cfg.Params)
-		workers[0].mach = ex.mach
+	ex.acct = workers[0].acct
+	if ex.rec != nil && ex.chaos {
+		// Worker 0's accountant contributes the fault-protocol events
+		// (checkpoint/restart/fault; only chaos runs have any) stamped with
+		// wall time; everything else the workers emit themselves from real
+		// activity, so nothing is double-counted.
+		m := ex.acct.Machine()
+		m.Rec = ex.rec
+		m.FaultEventsOnly = true
+		m.Now = ex.wall
+	}
+	if heal != nil {
+		ex.heal(workers, heal)
 	}
 	if ex.winj != nil {
 		ex.wire = newWireNet(ex, workers)
@@ -481,13 +459,13 @@ func (ex *executor) attempt(ctx context.Context, stall time.Duration, heal *heal
 	if err := checkConsistency(states); err != nil {
 		return nil, err
 	}
-	if err := ex.checkMachineAgreement(); err != nil {
+	if err := ex.checkMachineAgreement(workers); err != nil {
 		return nil, err
 	}
 
 	res := &Result{
-		Time:            ex.mach.Time(),
-		Stats:           ex.mach.Stats,
+		Time:            ex.acct.Machine().Time(),
+		Stats:           ex.acct.Machine().Stats,
 		Scalars:         map[string]float64{},
 		Arrays:          map[string][]float64{},
 		Workers:         n,
@@ -514,7 +492,7 @@ func (ex *executor) attempt(ctx context.Context, stall time.Duration, heal *heal
 // crash recovery around it (see chaos.go).
 func (ex *executor) runWorker(w *worker) error {
 	if !ex.chaos {
-		err := eval.Walk(w.st, w)
+		err := eval.Walk(w.st, w.drv)
 		if err == nil {
 			// Drain any message batch left open by trailing statements.
 			err = w.flushBatch()
@@ -583,12 +561,14 @@ func checkConsistency(states []*eval.State) error {
 // ---------------------------------------------------------------------------
 // Worker
 
-// worker is one simulated processor: an eval.Backend whose events perform
-// real channel communication (and, on processor 0, the statistics replay).
+// worker is one simulated processor: the eval.Consumer of its own plan
+// driver, performing the decided operations' real channel communication
+// and, when it charges, feeding its accountant.
 type worker struct {
 	ex   *executor
 	proc int
 	st   *eval.State
+	drv  *eval.Driver
 	// sendSeq[to] / recvSeq[from] are the per-edge sequence counters.
 	sendSeq, recvSeq []uint64
 
@@ -605,17 +585,11 @@ type worker struct {
 	// openBatch); count == 0 means no batch is open.
 	batch openBatch
 
-	// mach is this worker's cost-model replay machine. Fault-free runs give
-	// it to worker 0 only (the accountant); chaos mode gives every worker
-	// its own, so all replicated replays — including the seeded fault
-	// draws — can be cross-checked after the run.
-	mach *machine.Machine
-	// inj replays the simulator's seeded injector (chaos mode only):
-	// identical draw sequence, so modeled fault charges and crash points
-	// agree with sim by construction.
-	inj *fault.Injector
-	// lastCkpt is the replayed clock at the last checkpoint (or recovery).
-	lastCkpt float64
+	// acct is this worker's accountant. Fault-free runs give one to worker
+	// 0 only; chaos mode gives every worker its own, so all replicated
+	// accounts — including the seeded fault draws — can be cross-checked
+	// after the run.
+	acct *sim.Accountant
 	// sites counts crash-check sites since the last checkpoint; it is the
 	// replay-progress coordinate used to suppress re-execution side effects
 	// exactly up to the crash point.
@@ -669,10 +643,10 @@ func (w *worker) emitN(k trace.Kind, peer int, bytes int64, req int, count int32
 // elemBytes is the payload size of one element message.
 func (w *worker) elemBytes() int64 { return int64(w.ex.cfg.Params.ElemBytes) }
 
-// charges reports whether this worker replays the cost model right now:
-// it owns a machine (worker 0 always; every worker in chaos mode) and is
-// not re-executing an already-accounted interval after a restore.
-func (w *worker) charges() bool { return w.mach != nil && !w.replay }
+// charges reports whether this worker feeds its accountant right now: it
+// has one (worker 0 always; every worker in chaos mode) and is not
+// re-executing an already-accounted interval after a restore.
+func (w *worker) charges() bool { return w.acct != nil && !w.replay }
 
 // traces reports whether this worker emits trace events right now (replay
 // re-executes already-traced work, so emission is suppressed).
@@ -772,86 +746,43 @@ func (w *worker) recv(from, wantReq int, what string) (message, error) {
 }
 
 // ---------------------------------------------------------------------------
-// eval.Backend
+// eval.Consumer: the worker's transport. Each method feeds the accountant
+// first when this worker charges, then performs the operation's real
+// traffic.
 
-// Tick fires after every loop iteration: progress for the watchdog plus
-// cancellation/deadline enforcement (and, in chaos mode, a crash-check site
-// mirroring the simulator's per-iteration checkTime).
-func (w *worker) Tick() error {
-	w.ex.wd.tick()
-	if h := w.ex.cfg.testHook; h != nil {
-		if err := h(w.proc); err != nil {
-			return err
-		}
-	}
-	if w.ex.chaos {
-		if err := w.crashCheck(); err != nil {
-			return err
-		}
-	}
-	return w.ex.ctx.Err()
-}
-
-// LoopEntry performs the vectorized communications hoisted to this loop.
-// In chaos mode it is also the coordinated checkpoint boundary — the same
-// loop-entry sites the simulator checkpoints at — and each hoisted
-// communication is followed by a crash-check site mirroring the simulator's.
-func (w *worker) LoopEntry(l *ir.Loop, lp *spmd.LoopPlan) error {
+// Enter flushes the open batch and, at a boundary where the accountant
+// takes a coordinated checkpoint, completes it (see checkpoint).
+func (w *worker) Enter(boundary bool) error {
 	// Any open batch flushes before other planned traffic so the per-edge
 	// message order stays identical on every worker.
 	if err := w.flushBatch(); err != nil {
 		return err
 	}
-	if w.ex.chaos && (len(lp.Hoisted) > 0 || l.Parent == nil) {
-		if err := w.maybeCheckpoint(); err != nil {
-			return err
-		}
-	}
-	for _, req := range lp.Hoisted {
-		// A privatized combine consumes its operands at the owners that
-		// accumulate them: no aggregated transfer, mirroring the simulator.
-		if sp := w.ex.prog.PlanOf(req.Stmt); sp != nil &&
-			w.st.PrivatizedActive(sp.Combine) && sp.Combine.Mapping == nil {
-			continue
-		}
-		op, err := w.st.VectorizedOp(req, w.elemBytes())
-		if err != nil {
-			return err
-		}
-		if w.charges() {
-			switch op.Kind {
-			case eval.VecShift:
-				w.mach.Shift(op.Participants, op.PerProc)
-			case eval.VecBcast:
-				w.mach.Multicast(op.From, op.Dst, op.Bytes)
-			case eval.VecExchange:
-				w.mach.Exchange(op.Src, op.Dst, op.Bytes)
-			}
-		}
-		if w.traces() {
-			w.stampVectorized(req, op)
-		}
-		err = w.vectorizedComm(req, op)
-		w.clearAttr()
-		if err != nil {
-			return err
-		}
-		// Skipped requirements are not a crash-check site: the simulator
-		// returns before its checkTime for VecSkip, so checking here would
-		// detect a pending crash one op earlier than the reference.
-		if w.ex.chaos && op.Kind != eval.VecSkip {
-			if err := w.crashCheck(); err != nil {
-				return err
-			}
-		}
+	if boundary && w.charges() && w.acct.TakeCheckpoint() {
+		return w.checkpoint()
 	}
 	return nil
 }
 
+// Hoisted performs the real traffic of one hoisted requirement.
+func (w *worker) Hoisted(req *comm.Requirement, op eval.VectorizedOp) error {
+	if w.charges() {
+		if err := w.acct.Hoisted(req, op); err != nil {
+			return err
+		}
+	}
+	if w.traces() {
+		w.stampVectorized(req, op)
+	}
+	err := w.vectorizedComm(req, op)
+	w.clearAttr()
+	return err
+}
+
 // stampVectorized sets the trace attribution for one hoisted requirement's
-// real traffic, mirroring the bytes the cost model charges per message; ring
-// slots of shift non-participants are muted (the cost model does not charge
-// them, and neither does the simulator's trace).
+// real traffic to the bytes the cost model charges per message; ring slots
+// of shift non-participants are muted (the cost model does not charge them,
+// and neither does the simulator's trace).
 func (w *worker) stampVectorized(req *comm.Requirement, op eval.VectorizedOp) {
 	switch op.Kind {
 	case eval.VecShift:
@@ -868,10 +799,10 @@ func (w *worker) stampVectorized(req *comm.Requirement, op eval.VectorizedOp) {
 	}
 }
 
-// vectorizedComm performs the real traffic of one hoisted requirement. The
-// concrete topology mirrors what the cost model charges: a ring exchange
-// for shifts, root-to-members for broadcasts, owner-to-consumer messages
-// for general aggregated communication.
+// vectorizedComm performs the real traffic of one hoisted requirement in the
+// topology the cost model charges: a ring exchange for shifts,
+// root-to-members for broadcasts, owner-to-consumer messages for general
+// aggregated communication.
 func (w *worker) vectorizedComm(req *comm.Requirement, op eval.VectorizedOp) error {
 	what := w.desc(req)
 	dropped := w.ex.cfg.testDropSend != nil && w.ex.cfg.testDropSend(w.proc, req)
@@ -952,148 +883,155 @@ func (w *worker) vectorizedComm(req *comm.Requirement, op eval.VectorizedOp) err
 	return nil
 }
 
-// LoopExit performs the global reduction combines that run after the loop —
-// a star gather to a deterministic root and a result broadcast back, with
-// the partial values compared bitwise (replicated execution makes every
-// partial the full value, so they must all agree) — then the lastprivate
-// copy-outs: the final iteration's owner broadcasts its value and every
-// receiver verifies bitwise agreement.
-func (w *worker) LoopExit(l *ir.Loop, lp *spmd.LoopPlan) error {
-	if err := w.flushBatch(); err != nil {
-		return err
+// Instance coalesces one non-skipped per-instance transfer into the open
+// batch (see batchInstance); the accountant still charges every instance.
+func (w *worker) Instance(st *ir.Stmt, req *comm.Requirement, op eval.InstanceOp, guard float64) error {
+	if w.charges() {
+		if err := w.acct.Instance(st, req, op, guard); err != nil {
+			return err
+		}
 	}
-	for _, c := range lp.Combines {
-		if w.st.PrivatizedActive(c) {
-			if err := w.mergeCombine(c); err != nil {
-				return err
-			}
-			continue
-		}
-		if c.Mapping == nil {
-			// A collective elementwise reduction has no combine operation:
-			// its reference execution is plain per-instance owner-computes.
-			continue
-		}
-		m := c.Mapping
-		set := w.st.PatternSet(m.Pattern, nil)
-		if w.charges() {
-			w.mach.Reduce(set, w.elemBytes())
-		}
-		procs := set.Procs()
-		if len(procs) < 2 || !set.Contains(w.proc) {
-			continue
-		}
-		if w.traces() && m.Def != nil && m.Def.Stmt != nil {
-			w.setAttr(m.Def.Stmt.ID, dist.CommNone, 0)
-		}
-		what := "combine " + m.Def.Var.Name
-		root := procs[0]
-		bits := math.Float64bits(w.st.Scalar(m.Def.Var))
-		if w.proc == root {
-			for _, p := range procs[1:] {
-				got, err := w.recv(p, tagReduce, what)
-				if err != nil {
-					return err
-				}
-				if got.hasVal && got.bits != bits {
-					return &DivergenceError{Proc: w.proc, Peer: p, What: what,
-						Got: math.Float64frombits(got.bits), Want: w.st.Scalar(m.Def.Var)}
-				}
-			}
-			for _, p := range procs[1:] {
-				if err := w.send(p, message{req: tagReduceResult, hasVal: true, bits: bits}, what); err != nil {
-					return err
-				}
-			}
-			if w.traces() {
-				// One Reduce event per collective at the gathering root —
-				// structurally identical to the simulator's emission.
-				w.emit(trace.Reduce, -1, 0, w.elemBytes()*int64(len(procs)), -1)
-			}
-		} else {
-			if err := w.send(root, message{req: tagReduce, hasVal: true, bits: bits}, what); err != nil {
-				return err
-			}
-			got, err := w.recv(root, tagReduceResult, what)
-			if err != nil {
-				return err
-			}
-			if got.hasVal && got.bits != bits {
-				return &DivergenceError{Proc: w.proc, Peer: root, What: what,
-					Got: math.Float64frombits(got.bits), Want: w.st.Scalar(m.Def.Var)}
-			}
-		}
-		w.clearAttr()
+	if op.Skip {
+		return nil
 	}
-	for _, m := range lp.CopyOuts {
-		// The walker leaves the loop index at its final executed value, so
-		// the pattern's owners are the final iteration's owners. Replicated
-		// execution means every worker already holds the value; the real
-		// broadcast verifies bitwise agreement with the owner.
-		src := w.st.PatternSet(m.Pattern, nil)
-		all := dist.AllProcs(w.st.Grid())
-		if src.Count() == all.Count() {
-			continue // degenerate alignment: already everywhere
+	return w.batchInstance(req, st, op)
+}
+
+// Compute traces this worker's share of a statement's computation.
+func (w *worker) Compute(st *ir.Stmt, set dist.ProcSet, seconds float64) error {
+	if w.charges() {
+		if err := w.acct.Compute(st, set, seconds); err != nil {
+			return err
 		}
-		root := src.First()
-		if w.charges() {
-			w.mach.Multicast(root, all, w.elemBytes())
-		}
-		what := "copy-out " + m.Def.Var.Name
-		bits := math.Float64bits(w.st.Scalar(m.Def.Var))
-		if w.traces() && m.Def.Stmt != nil {
-			// Protocol-tagged traffic is invisible to traceSend/recv, so the
-			// events are emitted manually — one Send per destination at the
-			// root, one Recv per receiver, structurally identical to
-			// machine.Multicast's emission.
-			w.setAttr(m.Def.Stmt.ID, dist.CommBcast, w.elemBytes())
-		}
-		if w.proc == root {
-			for _, p := range all.Procs() {
-				if p == root {
-					continue
-				}
-				if err := w.send(p, message{req: tagCopyOut, hasVal: true, bits: bits}, what); err != nil {
-					return err
-				}
-				if w.traces() {
-					w.emit(trace.Send, p, 0, w.elemBytes(), -1)
-				}
-			}
-		} else {
-			got, err := w.recv(root, tagCopyOut, what)
-			if err != nil {
-				return err
-			}
-			if got.hasVal && got.bits != bits {
-				return &DivergenceError{Proc: w.proc, Peer: root, What: what,
-					Got: math.Float64frombits(got.bits), Want: w.st.Scalar(m.Def.Var)}
-			}
-			if w.traces() {
-				w.emit(trace.Recv, root, 0, w.elemBytes(), -1)
-			}
-		}
+	}
+	if seconds > 0 && w.traces() && set.Contains(w.proc) {
+		// The slice duration is the cost model's charge — the useful,
+		// noise-free per-statement attribution for the timeline view.
+		w.setAttr(st.ID, dist.CommNone, 0)
+		w.emit(trace.Compute, -1, seconds, 0, -1)
 		w.clearAttr()
 	}
 	return nil
 }
 
-// mergeCombine runs the privatized loop-exit merge of one combine: the
-// shared value semantics fold the partial tables locally (identically on
-// every worker — replicated execution), the charging workers replay the
-// TreeMerge cost, and the real wire traffic walks the deterministic tree,
-// each hop's loser shipping the FNV checksum of its pre-merge partial row
-// for the winner to verify bitwise.
-func (w *worker) mergeCombine(c *spmd.Combine) error {
-	elems := w.st.PartialElems(c)
-	hops, err := w.st.MergePartials(c)
-	if err != nil {
-		return err
-	}
+// Exit flushes the open batch before the loop's combines and copy-outs.
+func (w *worker) Exit() error { return w.flushBatch() }
+
+// Collective performs a global reduction as a star gather to a
+// deterministic root and a result broadcast back, with the partial values
+// compared bitwise (replicated execution makes every partial the full
+// value, so they must all agree).
+func (w *worker) Collective(c *spmd.Combine, set dist.ProcSet) error {
 	if w.charges() {
-		w.mach.SetAttr(c.Red.Stmt.ID, -1, dist.CommNone)
-		w.mach.TreeMerge(dist.AllProcs(w.st.Grid()), elems*w.elemBytes(), w.ex.n)
-		w.mach.ClearAttr()
+		if err := w.acct.Collective(c, set); err != nil {
+			return err
+		}
+	}
+	procs := set.Procs()
+	if len(procs) < 2 || !set.Contains(w.proc) {
+		return nil
+	}
+	m := c.Mapping
+	if w.traces() && m.Def != nil && m.Def.Stmt != nil {
+		w.setAttr(m.Def.Stmt.ID, dist.CommNone, 0)
+	}
+	defer w.clearAttr()
+	what := "combine " + m.Def.Var.Name
+	root := procs[0]
+	bits := math.Float64bits(w.st.Scalar(m.Def.Var))
+	if w.proc != root {
+		if err := w.send(root, message{req: tagReduce, hasVal: true, bits: bits}, what); err != nil {
+			return err
+		}
+		got, err := w.recv(root, tagReduceResult, what)
+		if err != nil {
+			return err
+		}
+		if got.hasVal && got.bits != bits {
+			return &DivergenceError{Proc: w.proc, Peer: root, What: what,
+				Got: math.Float64frombits(got.bits), Want: w.st.Scalar(m.Def.Var)}
+		}
+		return nil
+	}
+	for _, p := range procs[1:] {
+		got, err := w.recv(p, tagReduce, what)
+		if err != nil {
+			return err
+		}
+		if got.hasVal && got.bits != bits {
+			return &DivergenceError{Proc: w.proc, Peer: p, What: what,
+				Got: math.Float64frombits(got.bits), Want: w.st.Scalar(m.Def.Var)}
+		}
+	}
+	for _, p := range procs[1:] {
+		if err := w.send(p, message{req: tagReduceResult, hasVal: true, bits: bits}, what); err != nil {
+			return err
+		}
+	}
+	if w.traces() {
+		// One Reduce event per collective at the gathering root —
+		// structurally identical to the simulator's emission.
+		w.emit(trace.Reduce, -1, 0, w.elemBytes()*int64(len(procs)), -1)
+	}
+	return nil
+}
+
+// CopyOut broadcasts a lastprivate scalar's final value from root.
+// Replicated execution means every worker already holds the value; the real
+// broadcast verifies bitwise agreement with the owner.
+func (w *worker) CopyOut(m *core.ScalarMapping, root int) error {
+	if w.charges() {
+		if err := w.acct.CopyOut(m, root); err != nil {
+			return err
+		}
+	}
+	what := "copy-out " + m.Def.Var.Name
+	bits := math.Float64bits(w.st.Scalar(m.Def.Var))
+	if w.traces() && m.Def.Stmt != nil {
+		// Protocol-tagged traffic is invisible to traceSend/recv, so the
+		// events are emitted manually — one Send per destination at the
+		// root, one Recv per receiver, structurally identical to
+		// machine.Multicast's emission.
+		w.setAttr(m.Def.Stmt.ID, dist.CommBcast, w.elemBytes())
+	}
+	defer w.clearAttr()
+	if w.proc != root {
+		got, err := w.recv(root, tagCopyOut, what)
+		if err != nil {
+			return err
+		}
+		if got.hasVal && got.bits != bits {
+			return &DivergenceError{Proc: w.proc, Peer: root, What: what,
+				Got: math.Float64frombits(got.bits), Want: w.st.Scalar(m.Def.Var)}
+		}
+		if w.traces() {
+			w.emit(trace.Recv, root, 0, w.elemBytes(), -1)
+		}
+		return nil
+	}
+	for p := 0; p < w.ex.n; p++ {
+		if p == root {
+			continue
+		}
+		if err := w.send(p, message{req: tagCopyOut, hasVal: true, bits: bits}, what); err != nil {
+			return err
+		}
+		if w.traces() {
+			w.emit(trace.Send, p, 0, w.elemBytes(), -1)
+		}
+	}
+	return nil
+}
+
+// Merge runs the wire side of a privatized combine's tree merge: every
+// worker has already folded the partial tables locally (identically —
+// replicated execution), so each hop's loser ships the FNV checksum of its
+// pre-merge partial row for the winner to verify bitwise.
+func (w *worker) Merge(c *spmd.Combine, elems int64, hops []eval.MergeHop) error {
+	if w.charges() {
+		if err := w.acct.Merge(c, elems, hops); err != nil {
+			return err
+		}
 	}
 	what := "merge " + c.Var().Name
 	for _, h := range hops {
@@ -1128,86 +1066,30 @@ func (w *worker) mergeCombine(c *spmd.Combine) error {
 	return nil
 }
 
-// Statement performs per-instance communication for one statement instance
-// (and, on charging workers, replays the guard, message, and compute
-// charges). In chaos mode every non-skipped per-instance communication is a
-// crash-check site, mirroring the simulator's statement walk. A privatized
-// elementwise reduction update skips its per-instance communication entirely
-// — the instance accumulates into the data owner's partial row instead of
-// shipping operands to the element's owner — which is where the privatized
-// win comes from.
-func (w *worker) Statement(st *ir.Stmt, sp *spmd.StmtPlan) error {
-	privArray := w.st.PrivatizedActive(sp.Combine) && sp.Combine.Mapping == nil
-	if privArray {
-		var execSet dist.ProcSet
-		var err error
-		if sp.Combine.Red.DataRef != nil {
-			execSet, err = w.st.OwnerSet(sp.Combine.Red.DataRef)
-		} else {
-			execSet, err = w.st.ExecSet(sp)
-		}
-		if err != nil {
-			return err
-		}
-		if sp.Flops > 0 {
-			if w.charges() {
-				w.mach.Compute(execSet, float64(sp.Flops)*w.ex.cfg.Params.FlopTime)
-			}
-			if w.traces() && execSet.Contains(w.proc) {
-				w.setAttr(st.ID, dist.CommNone, 0)
-				w.emit(trace.Compute, -1, float64(sp.Flops)*w.ex.cfg.Params.FlopTime, 0, -1)
-				w.clearAttr()
-			}
-		}
-		return nil
-	}
-	for _, req := range sp.PerInstance {
-		op, err := w.st.InstanceOp(req, sp, w.elemBytes())
-		if err != nil {
-			return err
-		}
-		if w.charges() && w.ex.cfg.Params.GuardTime > 0 {
-			w.mach.Compute(dist.AllProcs(w.st.Grid()), w.ex.cfg.Params.GuardTime)
-		}
-		if op.Skip {
-			continue
-		}
-		if w.charges() {
-			// The replay charges the cost model per instance — batching is a
-			// property of the physical transport only — so Stats and
-			// simulated time stay identical to the sequential simulator's.
-			if to, one := op.Dst.IsSingle(); one {
-				w.mach.Send(op.From, to, op.Bytes)
-			} else {
-				w.mach.Multicast(op.From, op.Dst, op.Bytes)
-			}
-		}
-		if err := w.batchInstance(req, st, op); err != nil {
-			return err
-		}
-		if w.ex.chaos {
-			if err := w.crashCheck(); err != nil {
-				return err
-			}
-		}
-	}
-	execSet, err := w.st.ExecSet(sp)
-	if err != nil {
+// Redistribute performs the barrier an executable redistribution implies
+// (the mapping update has already been applied to every worker's state).
+func (w *worker) Redistribute(st *ir.Stmt, perProc int64) error {
+	if err := w.flushBatch(); err != nil {
 		return err
 	}
-	if sp.Flops > 0 {
-		if w.charges() {
-			w.mach.Compute(execSet, float64(sp.Flops)*w.ex.cfg.Params.FlopTime)
-		}
-		if w.traces() && execSet.Contains(w.proc) {
-			// The slice duration is the cost model's charge — the useful,
-			// noise-free per-statement attribution for the timeline view.
-			w.setAttr(st.ID, dist.CommNone, 0)
-			w.emit(trace.Compute, -1, float64(sp.Flops)*w.ex.cfg.Params.FlopTime, 0, -1)
-			w.clearAttr()
+	if w.charges() {
+		if err := w.acct.Redistribute(st, perProc); err != nil {
+			return err
 		}
 	}
-	return nil
+	return w.starBarrier(tagBarrier, tagRelease, "redistribute "+st.Redist.Array.Name)
+}
+
+// Tick reports progress to the watchdog and enforces cancellation and
+// deadline; the Site that follows is the iteration's crash check.
+func (w *worker) Tick() error {
+	w.ex.wd.tick()
+	if h := w.ex.cfg.testHook; h != nil {
+		if err := h(w.proc); err != nil {
+			return err
+		}
+	}
+	return w.ex.ctx.Err()
 }
 
 // openBatch is the worker's single in-flight message batch: contiguous
@@ -1355,27 +1237,6 @@ func (w *worker) flushBatch() error {
 		return err
 	}
 	return verify(got, op.from)
-}
-
-// Redistribute performs the barrier an executable redistribution implies
-// (the mapping update has already been applied to every worker's state) and
-// replays its all-to-all charge. In chaos mode the end of the barrier is a
-// crash-check site, mirroring the simulator's redistribution walk.
-func (w *worker) Redistribute(st *ir.Stmt) error {
-	if err := w.flushBatch(); err != nil {
-		return err
-	}
-	if w.charges() {
-		per := w.st.RedistBytesPerProc(st, w.elemBytes())
-		w.mach.AllToAll(dist.AllProcs(w.st.Grid()), per)
-	}
-	if err := w.starBarrier(tagBarrier, tagRelease, "redistribute "+st.Redist.Array.Name); err != nil {
-		return err
-	}
-	if w.ex.chaos {
-		return w.crashCheck()
-	}
-	return nil
 }
 
 // starBarrier synchronizes all workers through processor 0: members send

@@ -64,11 +64,11 @@ func TestReduceDifferMatrix(t *testing.T) {
 // so modeled message counts — not just simulated time — must drop.
 func TestReduceStrategyTrafficAdvantage(t *testing.T) {
 	prog := compile(t, programs.Histogram(96, 16, 2), 8, core.DefaultOptions())
-	coll, err := sim.Run(prog, sim.Config{Reduce: core.ReduceCollective})
+	coll, err := sim.RunContext(context.Background(), prog, sim.Config{Reduce: core.ReduceCollective})
 	if err != nil {
 		t.Fatal(err)
 	}
-	priv, err := sim.Run(prog, sim.Config{Reduce: core.ReducePrivatize})
+	priv, err := sim.RunContext(context.Background(), prog, sim.Config{Reduce: core.ReducePrivatize})
 	if err != nil {
 		t.Fatal(err)
 	}

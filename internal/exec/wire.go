@@ -6,7 +6,7 @@
 // ack/retransmit protocol with exponential backoff on top. The draws are
 // keyed, not sequential, so the outcome is reproducible for a fixed seed
 // regardless of goroutine interleaving — and entirely invisible to the
-// replayed cost model, which the differential oracle compares against the
+// accountants' cost model, which the differential oracle compares against the
 // simulator (the physical activity is reported separately in Result).
 package exec
 

@@ -1,6 +1,7 @@
 package programs
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -20,7 +21,7 @@ func simulate(t *testing.T, src string, nprocs int, opts core.Options) *sim.Resu
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
-	out, err := sim.Run(spmd.Generate(res), sim.Config{})
+	out, err := sim.RunContext(context.Background(), spmd.Generate(res), sim.Config{})
 	if err != nil {
 		t.Fatalf("sim: %v", err)
 	}
@@ -79,7 +80,7 @@ func TestReduceKernelNumerics(t *testing.T) {
 		if err != nil {
 			t.Fatalf("analyze: %v", err)
 		}
-		out, err := sim.Run(spmd.Generate(res), sim.Config{Reduce: mode})
+		out, err := sim.RunContext(context.Background(), spmd.Generate(res), sim.Config{Reduce: mode})
 		if err != nil {
 			t.Fatalf("sim: %v", err)
 		}

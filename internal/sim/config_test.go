@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -15,7 +16,7 @@ func TestConfigValidate(t *testing.T) {
 		{CheckpointInterval: 0.5},
 	}
 	for i, c := range good {
-		if err := c.Validate(); err != nil {
+		if err := c.Validate(4); err != nil {
 			t.Errorf("good config %d rejected: %v", i, err)
 		}
 	}
@@ -31,7 +32,7 @@ func TestConfigValidate(t *testing.T) {
 		{Config{CheckpointInterval: math.Inf(1)}, "CheckpointInterval"},
 	}
 	for i, c := range bad {
-		err := c.cfg.Validate()
+		err := c.cfg.Validate(4)
 		if err == nil {
 			t.Errorf("bad config %d accepted: %+v", i, c.cfg)
 			continue
@@ -45,15 +46,15 @@ func TestConfigValidate(t *testing.T) {
 // TestRunRejectsBadConfig: Run itself applies the validation (and the nil
 // program check) before touching the program.
 func TestRunRejectsBadConfig(t *testing.T) {
-	if _, err := Run(nil, Config{}); err == nil {
+	if _, err := RunContext(context.Background(), nil, Config{}); err == nil {
 		t.Error("nil program accepted")
 	}
 
 	prog := generate(t, abortSrc, 4)
-	if _, err := Run(prog, Config{MaxSeconds: -1}); err == nil {
+	if _, err := RunContext(context.Background(), prog, Config{MaxSeconds: -1}); err == nil {
 		t.Error("negative MaxSeconds accepted by Run")
 	}
-	if _, err := Run(prog, Config{CheckpointInterval: math.Inf(1)}); err == nil {
+	if _, err := RunContext(context.Background(), prog, Config{CheckpointInterval: math.Inf(1)}); err == nil {
 		t.Error("infinite CheckpointInterval accepted by Run")
 	}
 }

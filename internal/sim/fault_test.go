@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"phpf/internal/core"
@@ -172,7 +173,7 @@ func TestFaultConfigValidation(t *testing.T) {
 		{CheckpointInterval: -1},
 	}
 	for i, cfg := range cases {
-		if _, err := Run(ap, cfg); err == nil {
+		if _, err := RunContext(context.Background(), ap, cfg); err == nil {
 			t.Errorf("case %d: invalid fault config accepted", i)
 		}
 	}

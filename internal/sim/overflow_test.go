@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -42,7 +43,7 @@ do i = 1, m
 end do
 end
 `
-	_, err := Run(generate(t, src, 4), Config{})
+	_, err := RunContext(context.Background(), generate(t, src, 4), Config{})
 	var ne *eval.NumericError
 	if !errors.As(err, &ne) {
 		t.Fatalf("expected *eval.NumericError, got %T: %v", err, err)
@@ -67,7 +68,7 @@ do i = 1, n
 end do
 end
 `
-	_, err := Run(generate(t, src, 4), Config{})
+	_, err := RunContext(context.Background(), generate(t, src, 4), Config{})
 	if err == nil || !strings.Contains(err.Error(), "too large") {
 		t.Fatalf("expected an array-size rejection, got %v", err)
 	}
@@ -87,7 +88,7 @@ do i = 1, n
 end do
 end
 `
-	_, err := Run(generate(t, src, 4), Config{})
+	_, err := RunContext(context.Background(), generate(t, src, 4), Config{})
 	if err == nil || !strings.Contains(err.Error(), "out of bounds") {
 		t.Fatalf("expected a bounds diagnostic, got %v", err)
 	}

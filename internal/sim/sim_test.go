@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -27,7 +28,7 @@ func runErr(t *testing.T, src string, nprocs int, opts core.Options, cfg Config)
 		t.Fatalf("analyze: %v", err)
 	}
 	prog := spmd.Generate(cres)
-	out, err := Run(prog, cfg)
+	out, err := RunContext(context.Background(), prog, cfg)
 	if err != nil {
 		t.Fatalf("sim: %v", err)
 	}
@@ -455,7 +456,7 @@ end
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(spmd.Generate(cres), Config{Params: machine.SP2()}); err == nil {
+	if _, err := RunContext(context.Background(), spmd.Generate(cres), Config{Params: machine.SP2()}); err == nil {
 		t.Error("expected out-of-bounds error")
 	}
 }

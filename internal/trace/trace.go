@@ -141,6 +141,8 @@ type shard struct {
 	ring []Event
 	// stmt aggregates per-statement planned communication (Send events).
 	stmt map[int32]*StmtComm
+	// faults counts fault-protocol events by kind and attribution.
+	faults map[FaultKey]int64
 
 	_ [64]byte // keep adjacent shards off one cache line
 }
@@ -297,6 +299,12 @@ func (r *Recorder) Emit(sh int, e Event) {
 			sc.Msgs[cl] += n
 			sc.Bytes[cl] += e.Bytes
 		}
+	}
+	if e.Kind == Checkpoint || e.Kind == Restart || e.Kind == Fault {
+		if s.faults == nil {
+			s.faults = map[FaultKey]int64{}
+		}
+		s.faults[FaultKey{Kind: e.Kind, Stmt: e.Stmt, Class: e.Class}] += n
 	}
 	if r.sample > 1 && (s.seen-1)%r.sample != 0 {
 		return

@@ -34,6 +34,29 @@ func (r *Recorder) SendsByClass() map[dist.CommClass]ClassCount {
 	return out
 }
 
+// FaultKey identifies fault-protocol events (Checkpoint, Restart, Fault) by
+// kind and by the statement and communication class they are attributed to.
+type FaultKey struct {
+	Kind  Kind
+	Stmt  int32
+	Class dist.CommClass
+}
+
+// FaultCounts returns the exact number of fault-protocol events per key.
+// Call only after the emitting goroutines have finished.
+func (r *Recorder) FaultCounts() map[FaultKey]int64 {
+	if r == nil {
+		return nil
+	}
+	out := map[FaultKey]int64{}
+	for i := range r.shards {
+		for k, n := range r.shards[i].faults {
+			out[k] += n
+		}
+	}
+	return out
+}
+
 // CommMatrix is the P×P planned point-to-point communication activity:
 // entry [from*N+to] counts the deliveries from processor `from` to `to`.
 type CommMatrix struct {

@@ -194,7 +194,7 @@ func CacheKey(source string, nprocs int, opts Options, reduce ReduceMode) string
 	h := sha256.New()
 	// The version tag invalidates every cached key when the encoding (or
 	// the meaning of an option) changes incompatibly.
-	fmt.Fprintf(h, "phpf-cache-v3\x00procs=%d\x00opts=%+v\x00reduce=%s\x00", nprocs, opts, reduce)
+	fmt.Fprintf(h, "phpf-cache-v4\x00procs=%d\x00opts=%+v\x00reduce=%s\x00", nprocs, opts, reduce)
 	h.Write([]byte(source))
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -314,26 +314,11 @@ type RunOptions struct {
 // admitting a request.
 func (o RunOptions) Validate() error {
 	bad := func(format string, args ...any) error { return configErr("options", format, args...) }
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"MaxSeconds", o.MaxSeconds},
-		{"CheckpointInterval", o.CheckpointInterval},
-	} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return bad("%s must be finite, got %v", f.name, f.v)
-		}
-		if f.v < 0 {
-			return bad("%s must be >= 0, got %v", f.name, f.v)
-		}
-	}
-	if o.Params != (MachineParams{}) {
-		if err := o.Params.Validate(); err != nil {
-			return bad("%v", err)
-		}
-	}
-	if err := o.Fault.Validate(); err != nil {
+	// Crash and slowdown processors are checked against the program by the
+	// backend; no processor count is out of range here.
+	shared := sim.Config{Params: o.Params, MaxSeconds: o.MaxSeconds, Fault: o.Fault,
+		CheckpointInterval: o.CheckpointInterval, MaxCells: o.MaxCells, Reduce: o.Reduce}
+	if err := shared.Validate(math.MaxInt); err != nil {
 		return bad("%v", err)
 	}
 	if o.Workers < 0 {
@@ -341,12 +326,6 @@ func (o RunOptions) Validate() error {
 	}
 	if o.MailboxDepth < 0 {
 		return bad("MailboxDepth must be >= 0 (0 = default), got %d", o.MailboxDepth)
-	}
-	if o.MaxCells < 0 {
-		return bad("MaxCells must be >= 0 (0 = unlimited), got %d", o.MaxCells)
-	}
-	if o.Reduce < ReduceAuto || o.Reduce > ReducePrivatize {
-		return bad("Reduce must be ReduceAuto, ReduceCollective, or ReducePrivatize, got %d", int(o.Reduce))
 	}
 	return nil
 }
@@ -673,7 +652,7 @@ func (c *Compiled) MappingReport() string {
 // inserted. phpfc -explain-priv prints it.
 func (c *Compiled) ExplainPriv() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "privatization mode: %s\n", c.Opts.PrivatizationMode())
+	fmt.Fprintf(&b, "privatization mode: %s\n", c.Opts.Privatization)
 	sum := c.Result.Priv
 	if sum == nil || len(sum.Classes) == 0 {
 		b.WriteString("no privatization candidates\n")

@@ -9,6 +9,11 @@ go build ./...
 go vet ./...
 go test -race ./...
 
+# The benchmark module (perfbench/, its own go.mod pointing phpf at this
+# checkout) calls and implements the internal execution API; vet and test it
+# so an internal change cannot break the benchmark unseen.
+(cd perfbench && go vet ./... && go test ./...)
+
 # Deprecated-API gate: the legacy execution surface (Compiled.Run,
 # Compiled.RunConcurrent, Compiled.DiffBackends, FormatProfile, and the
 # RunConfig/RunResult/ExecConfig/ExecResult types) was retired in favor of
@@ -17,6 +22,14 @@ go test -race ./...
 if grep -rnE 'func \(c \*Compiled\) (Run|RunConcurrent|DiffBackends|FormatProfile)\(|\b(type|func) +(RunConfig|RunResult|ExecConfig|ExecResult|DiffBackends|FormatProfile)\b' \
     --include='*.go' .; then
     echo "check: deprecated execution API symbols reappeared (use Execute/Diff + RunOptions)" >&2
+    exit 1
+fi
+# The AutoPrivatizeArrays alias with its PrivatizationMode shim (set
+# Options.Privatization) and the context-free sim.Run (use sim.RunContext)
+# were retired the same way.
+if grep -rnE 'AutoPrivatizeArrays +bool|\.AutoPrivatizeArrays\b|\) PrivatizationMode\(' --include='*.go' . ||
+    grep -rnE '^func Run\(' --include='*.go' internal/sim; then
+    echo "check: deprecated AutoPrivatizeArrays or sim.Run reappeared" >&2
     exit 1
 fi
 
