@@ -11,9 +11,11 @@
 // was on and any custom metrics (sim-sec/run, stmt-instances/s).
 //
 // compare exits nonzero when any benchmark present in both files regressed
-// by more than the tolerance in ns/op (new > old * (1 + tolerance)).
-// Benchmarks present in only one file are reported but do not fail the gate,
-// so adding or retiring a benchmark does not require regenerating history.
+// by more than the tolerance in ns/op (new > old * (1 + tolerance)), when its
+// allocs/op rose beyond a small fixed slack, or when its model output (the
+// sim-sec/run metric, deterministic by construction) differs at all. Benchmarks present
+// in only one file are reported but do not fail the gate, so adding or
+// retiring a benchmark does not require regenerating history.
 package main
 
 import (
@@ -143,6 +145,20 @@ func emit(args []string) {
 	fmt.Printf("benchjson: wrote %s (%d benchmarks)\n", *out, len(f.Benchmarks))
 }
 
+// allocSlackFrac and allocSlackAbs bound how far allocs/op may rise before
+// compare fails: a fraction of the baseline plus a few objects. Allocation
+// counts are deterministic for the simulator; the slack absorbs the
+// scheduling-dependent handful the concurrent backend and the server
+// allocate from run to run.
+const (
+	allocSlackFrac = 0.02
+	allocSlackAbs  = 16.0
+)
+
+// modelMetric is the custom metric that is a model output, not a
+// measurement: any difference is a change in what the program computes.
+const modelMetric = "sim-sec/run"
+
 func compare(args []string) {
 	fs := flag.NewFlagSet("compare", flag.ExitOnError)
 	tol := fs.Float64("tolerance", 0.15, "allowed fractional ns/op regression")
@@ -176,6 +192,17 @@ func compare(args []string) {
 		}
 		fmt.Printf("  %-44s  %12.0f -> %12.0f ns/op  %+6.1f%%  %s\n",
 			name, ob.NsPerOp, nb.NsPerOp, delta*100, mark)
+		if ob.AllocsPerOp > 0 && nb.AllocsPerOp > ob.AllocsPerOp*(1+allocSlackFrac)+allocSlackAbs {
+			fmt.Printf("  %-44s  %12.0f -> %12.0f allocs/op  ALLOC REGRESSION\n",
+				name, ob.AllocsPerOp, nb.AllocsPerOp)
+			failed++
+		}
+		ov, ook := ob.Metrics[modelMetric]
+		nv, nok := nb.Metrics[modelMetric]
+		if ook && nok && ov != nv {
+			fmt.Printf("  %-44s  %12g -> %12g %s  MODEL CHANGED\n", name, ov, nv, modelMetric)
+			failed++
+		}
 	}
 	for name := range newF.Benchmarks {
 		if _, ok := oldF.Benchmarks[name]; !ok {
@@ -186,9 +213,11 @@ func compare(args []string) {
 		fatal(fmt.Errorf("no benchmarks in common between %s and %s", fs.Arg(0), fs.Arg(1)))
 	}
 	if failed > 0 {
-		fatal(fmt.Errorf("%d benchmark(s) regressed more than %.0f%% vs %s", failed, *tol*100, fs.Arg(0)))
+		fatal(fmt.Errorf("%d regression(s) vs %s: ns/op beyond %.0f%%, allocs/op beyond %.0f%%+%.0f, or a changed model output",
+			failed, fs.Arg(0), *tol*100, allocSlackFrac*100, allocSlackAbs))
 	}
-	fmt.Printf("benchjson: %d benchmarks within %.0f%% of %s\n", compared, *tol*100, fs.Arg(0))
+	fmt.Printf("benchjson: %d benchmarks within %.0f%% ns/op and %.0f%%+%.0f allocs/op of %s, model outputs equal\n",
+		compared, *tol*100, allocSlackFrac*100, allocSlackAbs, fs.Arg(0))
 }
 
 func load(path string) File {

@@ -9,6 +9,10 @@ import (
 	"strings"
 )
 
+// MaxRank is the largest array, PROCESSORS or DISTRIBUTE rank the dialect
+// accepts: Fortran's and HPF's limit of seven dimensions.
+const MaxRank = 7
+
 // Type is a variable's element type.
 type Type int
 

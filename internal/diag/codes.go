@@ -10,7 +10,8 @@ const (
 	// CodeParse: syntax error.
 	CodeParse = "E002"
 	// CodeIRBuild: semantic error during IR lowering (undeclared variable,
-	// rank mismatch, bad GOTO target).
+	// rank mismatch, an array, PROCESSORS or DISTRIBUTE of rank above
+	// ast.MaxRank = 7, bad GOTO target).
 	CodeIRBuild = "E003"
 	// CodeVerify: an inter-pass verifier invariant failed — a compiler bug,
 	// not a user error.

@@ -92,7 +92,7 @@ func TestProcSetBasics(t *testing.T) {
 	if _, ok := u.Fixed(1); ok {
 		t.Errorf("union dim1 should be all: %v", u)
 	}
-	if len(single.Procs()) != 1 || len(row.Procs()) != 4 {
+	if len(single.AppendProcs(nil)) != 1 || len(row.AppendProcs(nil)) != 4 {
 		t.Error("Procs enumeration wrong")
 	}
 }

@@ -7,34 +7,24 @@ package dist
 import (
 	"fmt"
 	"strings"
+
+	"phpf/internal/ast"
 )
 
 // Grid is a (virtual) processor grid of one or more dimensions.
 type Grid struct {
 	Shape []int
-
-	// all is the shared "every dimension spans" coordinate vector AllProcs
-	// hands out. ProcSet operations copy on write, so sharing is safe; it
-	// removes the allocation from the hottest set constructor. Lazily
-	// rebuilt for Grid values constructed without NewGrid.
-	all []int
 }
 
-// NewGrid returns a grid with the given shape.
+// NewGrid returns a grid with the given shape. A rank above MaxRank is a
+// programming error (IR construction rejects such programs), so it panics.
 func NewGrid(shape ...int) *Grid {
+	if len(shape) > MaxRank {
+		panic(fmt.Sprintf("dist: grid rank %d exceeds MaxRank %d", len(shape), MaxRank))
+	}
 	s := make([]int, len(shape))
 	copy(s, shape)
-	g := &Grid{Shape: s}
-	g.all = makeAll(len(s))
-	return g
-}
-
-func makeAll(rank int) []int {
-	a := make([]int, rank)
-	for i := range a {
-		a[i] = -1
-	}
-	return a
+	return &Grid{Shape: s}
 }
 
 // Rank returns the number of grid dimensions.
@@ -122,46 +112,41 @@ func FactorShape(nprocs, rank int) []int {
 	return shape
 }
 
+// MaxRank is the largest grid, array or DISTRIBUTE rank the compiler
+// accepts — Fortran's and HPF's limit. IR construction rejects anything
+// larger with a positioned E003, so a ProcSet can keep its coordinates in a
+// fixed inline array and every set operation stays allocation-free.
+const MaxRank = ast.MaxRank
+
 // ProcSet is a rectangular set of processors described per grid dimension:
 // either a fixed coordinate or "all coordinates". This closed form covers
 // everything owner-computes needs (owners of a reference, replication sets,
-// reduction groups).
+// reduction groups). It is a plain value: the coordinates live inline, so
+// constructing, narrowing and joining sets never allocates and copies never
+// alias.
 type ProcSet struct {
 	grid *Grid
-	// coord[d] is the fixed coordinate in dimension d, or -1 for all.
-	coord []int
+	// coord[d] is the fixed coordinate in dimension d < rank, or -1 for all.
+	coord [MaxRank]int32
+	rank  uint8
 }
 
-// AllProcs is the set of all processors in the grid. The returned set
-// shares the grid's canonical "all" coordinates; every ProcSet operation is
-// copy-on-write, so the sharing is invisible to callers.
+// AllProcs is the set of all processors in the grid.
 func AllProcs(g *Grid) ProcSet {
-	if len(g.all) != len(g.Shape) {
-		g.all = makeAll(len(g.Shape))
+	s := ProcSet{grid: g, rank: uint8(len(g.Shape))}
+	for d := range g.Shape {
+		s.coord[d] = -1
 	}
-	return ProcSet{grid: g, coord: g.all}
-}
-
-// MutableAll is an all-covering set with private coordinate storage, for
-// builders that fix dimensions in place via FixDim (one allocation for a
-// whole WithDim chain). Sets from the other constructors may share storage
-// and must be narrowed with WithDim instead.
-func MutableAll(g *Grid) ProcSet {
-	return ProcSet{grid: g, coord: makeAll(g.Rank())}
-}
-
-// FixDim fixes dimension d to c in place and returns the receiver. Only
-// valid on sets created by MutableAll (see there).
-func (s ProcSet) FixDim(d, c int) ProcSet {
-	s.coord[d] = c
 	return s
 }
 
 // SingleProc is the singleton set {coords}.
 func SingleProc(g *Grid, coords []int) ProcSet {
-	c := make([]int, g.Rank())
-	copy(c, coords)
-	return ProcSet{grid: g, coord: c}
+	s := ProcSet{grid: g, rank: uint8(len(g.Shape))}
+	for d := range g.Shape {
+		s.coord[d] = int32(coords[d])
+	}
+	return s
 }
 
 // Grid returns the grid this set ranges over.
@@ -172,20 +157,18 @@ func (s ProcSet) Fixed(d int) (int, bool) {
 	if s.coord[d] < 0 {
 		return 0, false
 	}
-	return s.coord[d], true
+	return int(s.coord[d]), true
 }
 
 // WithDim returns a copy with dimension d fixed to c (or all if c == -1).
 func (s ProcSet) WithDim(d, c int) ProcSet {
-	nc := make([]int, len(s.coord))
-	copy(nc, s.coord)
-	nc[d] = c
-	return ProcSet{grid: s.grid, coord: nc}
+	s.coord[d] = int32(c)
+	return s
 }
 
 // IsAll reports whether the set covers the whole grid.
 func (s ProcSet) IsAll() bool {
-	for _, c := range s.coord {
+	for _, c := range s.coord[:s.rank] {
 		if c >= 0 {
 			return false
 		}
@@ -195,18 +178,20 @@ func (s ProcSet) IsAll() bool {
 
 // IsSingle reports whether the set is a single processor, and its id.
 func (s ProcSet) IsSingle() (int, bool) {
-	for _, c := range s.coord {
+	id := 0
+	for d, c := range s.coord[:s.rank] {
 		if c < 0 {
 			return 0, false
 		}
+		id = id*s.grid.Shape[d] + int(c)
 	}
-	return s.grid.ID(s.coord), true
+	return id, true
 }
 
 // Count returns the number of processors in the set.
 func (s ProcSet) Count() int {
 	n := 1
-	for d, c := range s.coord {
+	for d, c := range s.coord[:s.rank] {
 		if c < 0 {
 			n *= s.grid.Shape[d]
 		}
@@ -218,11 +203,11 @@ func (s ProcSet) Count() int {
 func (s ProcSet) Contains(id int) bool {
 	// Decode the id inline (dimension 0 slowest) instead of materializing
 	// the coordinate vector; this runs on per-instance paths.
-	for d := len(s.coord) - 1; d >= 0; d-- {
+	for d := int(s.rank) - 1; d >= 0; d-- {
 		ext := s.grid.Shape[d]
 		c := id % ext
 		id /= ext
-		if w := s.coord[d]; w >= 0 && c != w {
+		if w := s.coord[d]; w >= 0 && int32(c) != w {
 			return false
 		}
 	}
@@ -230,14 +215,14 @@ func (s ProcSet) Contains(id int) bool {
 }
 
 // First returns the smallest processor id in the set (the deterministic
-// representative Procs()[0] names, without building the slice).
+// representative AppendProcs lists first, without building the list).
 func (s ProcSet) First() int {
 	id := 0
-	for d, c := range s.coord {
+	for d, c := range s.coord[:s.rank] {
 		if c < 0 {
 			c = 0
 		}
-		id = id*s.grid.Shape[d] + c
+		id = id*s.grid.Shape[d] + int(c)
 	}
 	return id
 }
@@ -256,43 +241,42 @@ func (s ProcSet) Each(f func(id int)) {
 	}
 }
 
-// Procs enumerates the processor ids in the set, ascending.
-func (s ProcSet) Procs() []int {
+// AppendProcs appends the processor ids in the set, ascending, to dst and
+// returns the extended slice. Hot paths pass a buffer they own (truncated
+// to length 0), so enumerating a set allocates nothing once the buffer has
+// grown to the set's size.
+func (s ProcSet) AppendProcs(dst []int) []int {
 	if id, ok := s.IsSingle(); ok {
-		return []int{id}
+		return append(dst, id)
 	}
-	out := make([]int, 0, s.Count())
 	total := s.grid.Size()
 	for id := 0; id < total; id++ {
 		if s.Contains(id) {
-			out = append(out, id)
+			dst = append(dst, id)
 		}
 	}
-	return out
+	return dst
 }
 
 // Union returns the smallest rectangular set covering both (dimension-wise:
 // coordinates that differ become "all"). This over-approximation keeps
 // owner sets in closed form; exact for the patterns owner-computes yields.
 func (s ProcSet) Union(o ProcSet) ProcSet {
-	nc := make([]int, len(s.coord))
-	for d := range nc {
-		if s.coord[d] == o.coord[d] {
-			nc[d] = s.coord[d]
-		} else {
-			nc[d] = -1
+	for d := range s.coord[:s.rank] {
+		if s.coord[d] != o.coord[d] {
+			s.coord[d] = -1
 		}
 	}
-	return ProcSet{grid: s.grid, coord: nc}
+	return s
 }
 
 // CoversSet reports whether every processor of o is in s.
 func (s ProcSet) CoversSet(o ProcSet) bool {
-	for d := range s.coord {
-		if s.coord[d] < 0 {
+	for d, c := range s.coord[:s.rank] {
+		if c < 0 {
 			continue // s spans the dimension
 		}
-		if o.coord[d] != s.coord[d] {
+		if o.coord[d] != c {
 			return false // o has a different fixed coord, or spans the dim
 		}
 	}
@@ -301,20 +285,12 @@ func (s ProcSet) CoversSet(o ProcSet) bool {
 
 // Equal reports set equality.
 func (s ProcSet) Equal(o ProcSet) bool {
-	if len(s.coord) != len(o.coord) {
-		return false
-	}
-	for d := range s.coord {
-		if s.coord[d] != o.coord[d] {
-			return false
-		}
-	}
-	return true
+	return s.rank == o.rank && s.coord == o.coord
 }
 
 func (s ProcSet) String() string {
-	parts := make([]string, len(s.coord))
-	for d, c := range s.coord {
+	parts := make([]string, s.rank)
+	for d, c := range s.coord[:s.rank] {
 		if c < 0 {
 			parts[d] = "*"
 		} else {

@@ -85,20 +85,20 @@ func (a AxisMap) LocalCount(c, nproc int) int64 {
 // Owner returns the processor set owning element idx (1-based indices) of
 // the array.
 func (m *ArrayMap) Owner(g *Grid, idx []int64) ProcSet {
-	s := MutableAll(g)
 	// Grid dims not replicated and not set by any axis default to
 	// coordinate 0 (cannot happen for well-formed mappings, but keep the
-	// ownership total).
-	for d := 0; d < g.Rank(); d++ {
-		if !m.Repl[d] {
-			s = s.FixDim(d, 0)
+	// ownership total). This runs once per statement instance, so it fills
+	// the coordinates in place rather than through WithDim copies.
+	s := ProcSet{grid: g, rank: uint8(len(g.Shape))}
+	for d := range g.Shape {
+		if m.Repl[d] {
+			s.coord[d] = -1
 		}
 	}
-	for dim, ax := range m.Axes {
-		if !ax.Distributed {
-			continue
+	for dim := range m.Axes {
+		if ax := &m.Axes[dim]; ax.Distributed {
+			s.coord[ax.GridDim] = int32(ax.OwnerDim(idx[dim], g.Shape[ax.GridDim]))
 		}
-		s = s.FixDim(ax.GridDim, ax.OwnerDim(idx[dim], g.Shape[ax.GridDim]))
 	}
 	return s
 }

@@ -13,7 +13,6 @@ import (
 	"phpf/internal/comm"
 	"phpf/internal/dist"
 	"phpf/internal/ir"
-	"phpf/internal/spmd"
 )
 
 // InstanceOp is the resolved form of one per-instance communication: a
@@ -34,13 +33,12 @@ type InstanceOp struct {
 	Bytes int64
 }
 
-// InstanceOp resolves one per-instance requirement at the current indices.
-func (s *State) InstanceOp(req *comm.Requirement, sp *spmd.StmtPlan, elemBytes int64) (InstanceOp, error) {
-	dst, err := s.ExecSet(sp)
-	if err != nil {
-		return InstanceOp{}, err
-	}
+// InstanceOp resolves one per-instance requirement at the current indices;
+// dst is the statement instance's execution set (ExecSet), evaluated once
+// per instance by the caller.
+func (s *State) InstanceOp(req *comm.Requirement, dst dist.ProcSet, elemBytes int64) (InstanceOp, error) {
 	var src dist.ProcSet
+	var err error
 	if req.Use.Var.IsArray() {
 		// Evaluate under the dynamic (possibly redistributed) mapping.
 		src, err = s.OwnerSet(req.Use)
@@ -162,11 +160,7 @@ func (s *State) VectorizedOp(req *comm.Requirement, elemBytes int64) (Vectorized
 			Participants: dist.AllProcs(g)}, nil
 
 	case dist.CommBcast:
-		from := 0
-		if procs := srcEval.Procs(); len(procs) > 0 {
-			from = procs[0]
-		}
-		return VectorizedOp{Kind: VecBcast, From: from, Dst: dstEval,
+		return VectorizedOp{Kind: VecBcast, From: srcEval.First(), Dst: dstEval,
 			Bytes: bytesTotal}, nil
 
 	default:

@@ -163,8 +163,13 @@ func (d *Driver) Statement(st *ir.Stmt, sp *spmd.StmtPlan) error {
 			set, err = d.st.ExecSet(sp)
 		}
 	} else {
+		// One execution set per instance: it is every per-instance
+		// transfer's destination and the computation's set.
+		if set, err = d.st.ExecSet(sp); err != nil {
+			return err
+		}
 		for _, req := range sp.PerInstance {
-			op, err := d.st.InstanceOp(req, sp, d.elemBytes)
+			op, err := d.st.InstanceOp(req, set, d.elemBytes)
 			if err != nil {
 				return err
 			}
@@ -181,7 +186,6 @@ func (d *Driver) Statement(st *ir.Stmt, sp *spmd.StmtPlan) error {
 				return err
 			}
 		}
-		set, err = d.st.ExecSet(sp)
 	}
 	if err != nil {
 		return err

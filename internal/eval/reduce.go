@@ -142,7 +142,7 @@ func (s *State) PartialElems(c *spmd.Combine) int64 {
 // the reduction's data reference; processor 0 for all-scalar contributions).
 // The real accumulator is untouched until MergePartials runs at loop exit.
 func (s *State) AccumulatePrivate(st *ir.Stmt, c *spmd.Combine) error {
-	val, err := s.Eval(c.Red.Data)
+	val, err := s.code.data[st.ID](s)
 	if err != nil {
 		return err
 	}
@@ -161,7 +161,7 @@ func (s *State) AccumulatePrivate(st *ir.Stmt, c *spmd.Combine) error {
 	}
 	off := int64(0)
 	if st.Lhs.Var.IsArray() {
-		if off, err = s.ArrayOffset(st.Lhs); err != nil {
+		if off, err = s.code.refs[st.Lhs.ID].offset(s); err != nil {
 			return err
 		}
 	}

@@ -75,8 +75,7 @@ type State struct {
 	indices   []int64   // by Var.Slot; current loop-index values
 	arrays    [][]float64
 	// dyn holds the current (possibly redistributed) mapping per array.
-	dyn  []*dist.ArrayMap
-	priv []*core.ArrayPrivatization // by Var.Slot; privatization override
+	dyn []*dist.ArrayMap
 
 	// unionCache memoizes the per-iteration union execution set by
 	// Loop.ID; unionEpoch records the epoch an entry was computed at
@@ -90,8 +89,8 @@ type State struct {
 	// loop's union execution set (built on first use).
 	unionPart [][]unionContrib
 
-	// idxScratch is the reusable subscript buffer OwnerSet evaluates into.
-	idxScratch []int64
+	// code is the compiled evaluator of Prog (see compile.go).
+	code *code
 
 	// Privatized-reduction state (see reduce.go). partials[acc] is the
 	// combine's partial table — nprocs rows of partialElems[acc] elements,
@@ -152,7 +151,6 @@ func NewStateBudget(p *spmd.Program, budget Budget) (*State, error) {
 		indices:    make([]int64, n),
 		arrays:     make([][]float64, n),
 		dyn:        make([]*dist.ArrayMap, n),
-		priv:       make([]*core.ArrayPrivatization, n),
 		unionCache: make([]dist.ProcSet, len(prog.Loops)),
 		unionEpoch: make([]int64, len(prog.Loops)),
 		unionPart:  make([][]unionContrib, len(prog.Loops)),
@@ -166,7 +164,6 @@ func NewStateBudget(p *spmd.Program, budget Budget) (*State, error) {
 	sizes := make([]int64, n)
 	total := int64(0)
 	for _, v := range prog.VarList {
-		s.priv[v.Slot] = p.Res.Arrays[v]
 		if !v.IsArray() {
 			continue
 		}
@@ -199,6 +196,7 @@ func NewStateBudget(p *spmd.Program, budget Budget) (*State, error) {
 		s.arrays[v.Slot] = make([]float64, sizes[v.Slot])
 		s.dyn[v.Slot] = p.Res.Mapping.Arrays[v]
 	}
+	s.code = newCode(s)
 	return s, nil
 }
 
@@ -290,8 +288,8 @@ func addChecked(a, b int64) (int64, bool) {
 // ---------------------------------------------------------------------------
 // Value semantics
 
-// Store assigns val through a definition reference.
-func (s *State) Store(ref *ir.Ref, val float64) error {
+// store assigns val through a definition reference.
+func (s *State) store(ref *ir.Ref, val float64) error {
 	v := ref.Var
 	if !v.IsArray() {
 		if v.Type == ast.Integer {
@@ -301,7 +299,7 @@ func (s *State) Store(ref *ir.Ref, val float64) error {
 		s.scalarSet[v.Slot] = true
 		return nil
 	}
-	off, err := s.ArrayOffset(ref)
+	off, err := s.code.refs[ref.ID].offset(s)
 	if err != nil {
 		return err
 	}
@@ -309,52 +307,21 @@ func (s *State) Store(ref *ir.Ref, val float64) error {
 	return nil
 }
 
-// ArrayOffset computes the linear (row-major, 1-based) offset of an array
-// reference, rejecting out-of-bounds subscripts and guarding the offset
-// arithmetic against int64 wrap on adversarial shapes.
-func (s *State) ArrayOffset(ref *ir.Ref) (int64, error) {
+// RefValue reads a reference's current value (a loop index, a scalar or an
+// array element) through the compiled evaluator.
+func (s *State) RefValue(ref *ir.Ref) (float64, error) {
 	v := ref.Var
-	off := int64(0)
-	stride := int64(1)
-	for k := 0; k < v.Rank(); k++ {
-		x, err := s.EvalInt(ref.Ast.Subs[k])
-		if err != nil {
-			return 0, err
-		}
-		if x < 1 || x > v.Dims[k] {
-			return 0, fmt.Errorf("line %d: %s subscript %d out of bounds: %d (extent %d)",
-				ref.Stmt.Line, v.Name, k+1, x, v.Dims[k])
-		}
-		term, ok := mulChecked(x-1, stride)
-		if !ok {
-			return 0, &NumericError{Line: ref.Stmt.Line, What: v.Name + " offset", Val: float64(x)}
-		}
-		if off, ok = addChecked(off, term); !ok {
-			return 0, &NumericError{Line: ref.Stmt.Line, What: v.Name + " offset", Val: float64(x)}
-		}
-		if stride, ok = mulChecked(stride, v.Dims[k]); !ok {
-			return 0, &NumericError{Line: ref.Stmt.Line, What: v.Name + " stride", Val: float64(v.Dims[k])}
-		}
+	switch {
+	case v.IsLoopIndex:
+		return float64(s.indices[v.Slot]), nil
+	case !v.IsArray():
+		return s.scalars[v.Slot], nil
 	}
-	return off, nil
+	return s.code.refs[ref.ID].load(s)
 }
 
-// EvalInt evaluates an expression as an integer, rejecting values outside
-// the exactly representable range instead of wrapping through the float
-// conversion.
-func (s *State) EvalInt(e ast.Expr) (int64, error) {
-	x, err := s.Eval(e)
-	if err != nil {
-		return 0, err
-	}
-	if math.IsNaN(x) || x > float64(maxExactInt) || x < -float64(maxExactInt) {
-		return 0, &NumericError{What: "integer value", Val: x}
-	}
-	return int64(math.Round(x)), nil
-}
-
-// EvalAffine evaluates an affine form (falling back to the expression for
-// non-affine subscripts).
+// EvalAffine evaluates an affine form (falling back to the compiled
+// expression for non-affine subscripts).
 func (s *State) EvalAffine(a ir.Affine) (int64, error) {
 	if a.OK {
 		x := a.Const
@@ -366,26 +333,35 @@ func (s *State) EvalAffine(a ir.Affine) (int64, error) {
 	if a.Expr == nil {
 		return 0, fmt.Errorf("undefined pattern position")
 	}
-	return s.EvalInt(a.Expr)
+	f := s.code.pos[a.Expr]
+	if f == nil {
+		f = (&compiler{s: s, elems: map[*ast.Ref]*elemRef{}}).int(a.Expr, 0)
+		s.code.pos[a.Expr] = f
+	}
+	return f(s)
 }
 
-// TripCount evaluates a loop's trip count at the current indices. Bounds are
-// range-checked by EvalInt, so the (hi-lo)/step+1 arithmetic cannot wrap.
+// bounds evaluates a loop's bounds at the current indices (step 1 when the
+// loop has none). Values are range-checked, so trip arithmetic cannot wrap.
+func (s *State) bounds(l *ir.Loop) (lo, hi, step int64, err error) {
+	if lo, err = s.code.lo[l.ID](s); err != nil {
+		return
+	}
+	if hi, err = s.code.hi[l.ID](s); err != nil {
+		return
+	}
+	step = 1
+	if f := s.code.step[l.ID]; f != nil {
+		step, err = f(s)
+	}
+	return
+}
+
+// TripCount evaluates a loop's trip count at the current indices.
 func (s *State) TripCount(l *ir.Loop) (int64, error) {
-	lo, err := s.EvalInt(l.Lo)
+	lo, hi, step, err := s.bounds(l)
 	if err != nil {
 		return 0, err
-	}
-	hi, err := s.EvalInt(l.Hi)
-	if err != nil {
-		return 0, err
-	}
-	step := int64(1)
-	if l.Step != nil {
-		step, err = s.EvalInt(l.Step)
-		if err != nil {
-			return 0, err
-		}
 	}
 	if step == 0 {
 		return 0, fmt.Errorf("zero step in %s-loop at line %d", l.Index.Name, l.Line)
@@ -395,154 +371,6 @@ func (s *State) TripCount(l *ir.Loop) (int64, error) {
 		n = 0
 	}
 	return n, nil
-}
-
-// Eval evaluates an expression over the current memory image.
-func (s *State) Eval(e ast.Expr) (float64, error) {
-	switch x := e.(type) {
-	case *ast.IntConst:
-		return float64(x.Value), nil
-	case *ast.RealConst:
-		return x.Value, nil
-	case *ast.Ref:
-		var v *ir.Var
-		if x.Slot > 0 {
-			v = s.slots[x.Slot-1]
-		} else if v = s.Prog.Res.Prog.LookupVar(x.Name); v == nil {
-			return 0, fmt.Errorf("unknown variable %s", x.Name)
-		}
-		if v.IsLoopIndex {
-			return float64(s.indices[v.Slot]), nil
-		}
-		if !v.IsArray() {
-			return s.scalars[v.Slot], nil
-		}
-		off := int64(0)
-		stride := int64(1)
-		for k := 0; k < v.Rank(); k++ {
-			sub, err := s.EvalInt(x.Subs[k])
-			if err != nil {
-				return 0, err
-			}
-			if sub < 1 || sub > v.Dims[k] {
-				return 0, fmt.Errorf("%s subscript %d out of bounds: %d (extent %d)",
-					v.Name, k+1, sub, v.Dims[k])
-			}
-			off += (sub - 1) * stride
-			stride *= v.Dims[k]
-		}
-		return s.arrays[v.Slot][off], nil
-	case *ast.UnaryMinus:
-		r, err := s.Eval(x.X)
-		if err != nil {
-			return 0, err
-		}
-		return -r, nil
-	case *ast.Not:
-		r, err := s.Eval(x.X)
-		if err != nil {
-			return 0, err
-		}
-		if r == 0 {
-			return 1, nil
-		}
-		return 0, nil
-	case *ast.BinOp:
-		l, err := s.Eval(x.L)
-		if err != nil {
-			return 0, err
-		}
-		r, err := s.Eval(x.R)
-		if err != nil {
-			return 0, err
-		}
-		return evalBin(x.Op, l, r)
-	case *ast.Call:
-		// The intrinsics are all short-arity; a stack buffer keeps the
-		// common case allocation-free.
-		var buf [4]float64
-		var args []float64
-		if len(x.Args) <= len(buf) {
-			args = buf[:len(x.Args)]
-		} else {
-			args = make([]float64, len(x.Args))
-		}
-		for k, aexp := range x.Args {
-			v, err := s.Eval(aexp)
-			if err != nil {
-				return 0, err
-			}
-			args[k] = v
-		}
-		return evalCall(x.Name, args)
-	}
-	return 0, fmt.Errorf("unsupported expression %T", e)
-}
-
-func evalBin(op ast.Op, l, r float64) (float64, error) {
-	b2f := func(b bool) float64 {
-		if b {
-			return 1
-		}
-		return 0
-	}
-	switch op {
-	case ast.Add:
-		return l + r, nil
-	case ast.Sub:
-		return l - r, nil
-	case ast.Mul:
-		return l * r, nil
-	case ast.Div:
-		return l / r, nil
-	case ast.OpEq:
-		return b2f(l == r), nil
-	case ast.OpNe:
-		return b2f(l != r), nil
-	case ast.OpLt:
-		return b2f(l < r), nil
-	case ast.OpLe:
-		return b2f(l <= r), nil
-	case ast.OpGt:
-		return b2f(l > r), nil
-	case ast.OpGe:
-		return b2f(l >= r), nil
-	case ast.OpAnd:
-		return b2f(l != 0 && r != 0), nil
-	case ast.OpOr:
-		return b2f(l != 0 || r != 0), nil
-	}
-	return 0, fmt.Errorf("bad operator")
-}
-
-func evalCall(name string, args []float64) (float64, error) {
-	switch name {
-	case "abs":
-		return math.Abs(args[0]), nil
-	case "sqrt":
-		return math.Sqrt(args[0]), nil
-	case "exp":
-		return math.Exp(args[0]), nil
-	case "max":
-		best := args[0]
-		for _, a := range args[1:] {
-			if a > best {
-				best = a
-			}
-		}
-		return best, nil
-	case "min":
-		best := args[0]
-		for _, a := range args[1:] {
-			if a < best {
-				best = a
-			}
-		}
-		return best, nil
-	case "mod":
-		return math.Mod(args[0], args[1]), nil
-	}
-	return 0, fmt.Errorf("unknown intrinsic %s", name)
 }
 
 // ---------------------------------------------------------------------------
@@ -568,27 +396,25 @@ func (s *State) ExecSet(sp *spmd.StmtPlan) (dist.ProcSet, error) {
 // distribution (plus privatization overrides).
 func (s *State) OwnerSet(ref *ir.Ref) (dist.ProcSet, error) {
 	g := s.Grid()
-	v := ref.Var
-	// Subscripts evaluate into a scratch buffer reused across calls; the
-	// privatization path below copies it out before recursing (OwnerSet on
-	// the target reference would clobber the scratch).
-	if cap(s.idxScratch) < len(ref.Ast.Subs) {
-		s.idxScratch = make([]int64, len(ref.Ast.Subs))
+	e := s.code.refs[ref.ID]
+	if e == nil {
+		return dist.AllProcs(g), nil // a scalar reference: no owner
 	}
-	idx := s.idxScratch[:len(ref.Ast.Subs)]
-	for k, e := range ref.Ast.Subs {
-		x, err := s.EvalInt(e)
+	// Subscripts evaluate into a stack buffer (ranks are at most MaxRank),
+	// which the privatization path may recurse with.
+	var buf [dist.MaxRank]int64
+	idx := buf[:len(e.subs)]
+	for k, f := range e.subs {
+		x, err := f(s)
 		if err != nil {
 			return dist.ProcSet{}, err
 		}
 		idx[k] = x
 	}
-	if ap := s.priv[v.Slot]; ap != nil && ir.Encloses(ap.Loop, ref.Stmt.Loop) {
-		var buf [4]int64
-		own := append(buf[:0], idx...)
-		return s.privOwnerSet(ap, own)
+	if e.priv != nil {
+		return s.privOwnerSet(e.priv, idx)
 	}
-	am := s.dyn[v.Slot]
+	am := s.dyn[ref.Var.Slot]
 	if am == nil {
 		return dist.AllProcs(g), nil
 	}
@@ -600,7 +426,7 @@ func (s *State) OwnerSet(ref *ir.Ref) (dist.ProcSet, error) {
 // the privatization axes.
 func (s *State) privOwnerSet(ap *core.ArrayPrivatization, idx []int64) (dist.ProcSet, error) {
 	g := s.Grid()
-	set := dist.MutableAll(g)
+	set := dist.AllProcs(g)
 	tgt, err := s.OwnerSet(ap.Target)
 	if err != nil {
 		return dist.ProcSet{}, err
@@ -608,13 +434,13 @@ func (s *State) privOwnerSet(ap *core.ArrayPrivatization, idx []int64) (dist.Pro
 	for d := 0; d < g.Rank(); d++ {
 		if ap.PrivGrid[d] {
 			if c, ok := tgt.Fixed(d); ok {
-				set = set.FixDim(d, c)
+				set = set.WithDim(d, c)
 			}
 		}
 	}
 	for dim, ax := range ap.Axes {
 		if ax.Distributed {
-			set = set.FixDim(ax.GridDim, ax.OwnerDim(idx[dim], g.Shape[ax.GridDim]))
+			set = set.WithDim(ax.GridDim, ax.OwnerDim(idx[dim], g.Shape[ax.GridDim]))
 		}
 	}
 	return set, nil
@@ -625,7 +451,7 @@ func (s *State) privOwnerSet(ap *core.ArrayPrivatization, idx []int64) (dist.Pro
 // dimensions varying in them span all coordinates.
 func (s *State) PatternSet(pat dist.OwnerPattern, widen []*ir.Loop) dist.ProcSet {
 	g := s.Grid()
-	set := dist.MutableAll(g)
+	set := dist.AllProcs(g)
 	for d := range pat.Dims {
 		dp := pat.Dims[d]
 		if dp.Repl {
@@ -647,7 +473,7 @@ func (s *State) PatternSet(pat dist.OwnerPattern, widen []*ir.Loop) dist.ProcSet
 		}
 		ax := dist.AxisMap{Distributed: true, GridDim: d, Kind: dp.Kind,
 			Offset: dp.Offset, Extent: dp.Extent, Block: dp.Block}
-		set = set.FixDim(d, ax.OwnerDim(pos, g.Shape[d]))
+		set = set.WithDim(d, ax.OwnerDim(pos, g.Shape[d]))
 	}
 	return set
 }

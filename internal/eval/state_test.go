@@ -76,7 +76,7 @@ func TestRedistributeInvalidatesUnionCache(t *testing.T) {
 	// Memoize the union set for row 13 (block size 4 on 4 procs -> proc 3).
 	s.indices[outer.Index.Slot] = 13
 	before := s.UnionSet(outer)
-	if got, want := before.Procs(), []int{3}; len(got) != 1 || got[0] != want[0] {
+	if got, want := before.AppendProcs(nil), []int{3}; len(got) != 1 || got[0] != want[0] {
 		t.Fatalf("union set at i=13 = %v, want %v", got, want)
 	}
 
@@ -88,7 +88,7 @@ func TestRedistributeInvalidatesUnionCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := s.UnionSet(outer)
-	if got := after.Procs(); len(got) != 1 || got[0] != 0 {
+	if got := after.AppendProcs(nil); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("union set after redistribute at i=1 = %v, want [0] (stale memo served?)", got)
 	}
 

@@ -134,23 +134,12 @@ func (w *walker) loop(l *ir.Loop) (control, error) {
 			return control{}, err
 		}
 	}
-	lo, err := s.EvalInt(l.Lo)
+	lo, hi, step, err := s.bounds(l)
 	if err != nil {
 		return control{}, err
 	}
-	hi, err := s.EvalInt(l.Hi)
-	if err != nil {
-		return control{}, err
-	}
-	step := int64(1)
-	if l.Step != nil {
-		step, err = s.EvalInt(l.Step)
-		if err != nil {
-			return control{}, err
-		}
-		if step == 0 {
-			return control{}, fmt.Errorf("zero loop step at line %d", l.Line)
-		}
+	if step == 0 {
+		return control{}, fmt.Errorf("zero loop step at line %d", l.Line)
 	}
 
 	lp := s.Prog.LoopPlanOf(l)
@@ -218,7 +207,7 @@ func (w *walker) ifNode(ifn *ir.If) (control, error) {
 	if _, err := w.stmt(ifn.Cond); err != nil {
 		return control{}, err
 	}
-	c, err := w.s.Eval(ifn.Cond.Cond)
+	c, err := w.s.code.cond[ifn.Cond.ID](w.s)
 	if err != nil {
 		return control{}, err
 	}
@@ -248,15 +237,15 @@ func (w *walker) stmt(st *ir.Stmt) (control, error) {
 			}
 			return control{}, nil
 		}
-		val, err := s.Eval(st.Rhs)
+		val, err := s.code.rhs[st.ID](s)
 		if err != nil {
 			return control{}, err
 		}
-		if err := s.Store(st.Lhs, val); err != nil {
+		if err := s.store(st.Lhs, val); err != nil {
 			return control{}, err
 		}
 	case ir.SIfGoto:
-		c, err := s.Eval(st.Cond)
+		c, err := s.code.cond[st.ID](s)
 		if err != nil {
 			return control{}, err
 		}

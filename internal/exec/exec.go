@@ -585,6 +585,11 @@ type worker struct {
 	// openBatch); count == 0 means no batch is open.
 	batch openBatch
 
+	// procs, srcProcs and rcvProcs are the transport's processor-list
+	// buffers (ProcSet.AppendProcs), reused so enumerating a set allocates
+	// nothing.
+	procs, srcProcs, rcvProcs []int
+
 	// acct is this worker's accountant. Fault-free runs give one to worker
 	// 0 only; chaos mode gives every worker its own, so all replicated
 	// accounts — including the seeded fault draws — can be cross-checked
@@ -825,8 +830,9 @@ func (w *worker) vectorizedComm(req *comm.Requirement, op eval.VectorizedOp) err
 		return err
 
 	case eval.VecBcast:
+		w.procs = op.Dst.AppendProcs(w.procs[:0])
 		members := 0
-		for _, p := range op.Dst.Procs() {
+		for _, p := range w.procs {
 			if p != op.From {
 				members++
 			}
@@ -835,7 +841,7 @@ func (w *worker) vectorizedComm(req *comm.Requirement, op eval.VectorizedOp) err
 			return nil
 		}
 		if w.proc == op.From {
-			for _, p := range op.Dst.Procs() {
+			for _, p := range w.procs {
 				if p == op.From || dropped {
 					continue
 				}
@@ -852,16 +858,19 @@ func (w *worker) vectorizedComm(req *comm.Requirement, op eval.VectorizedOp) err
 		return nil
 
 	case eval.VecExchange:
-		srcProcs := op.Src.Procs()
+		w.srcProcs = op.Src.AppendProcs(w.srcProcs[:0])
+		srcProcs := w.srcProcs
 		if len(srcProcs) == 0 {
 			return nil
 		}
-		var rcv []int
-		for _, p := range op.Dst.Procs() {
+		w.procs = op.Dst.AppendProcs(w.procs[:0])
+		rcv := w.rcvProcs[:0]
+		for _, p := range w.procs {
 			if !op.Src.Contains(p) {
 				rcv = append(rcv, p)
 			}
 		}
+		w.rcvProcs = rcv
 		// Each receiver pairs with a deterministic owner.
 		for i, d := range rcv {
 			s := srcProcs[i%len(srcProcs)]
@@ -927,7 +936,8 @@ func (w *worker) Collective(c *spmd.Combine, set dist.ProcSet) error {
 			return err
 		}
 	}
-	procs := set.Procs()
+	w.procs = set.AppendProcs(w.procs[:0])
+	procs := w.procs
 	if len(procs) < 2 || !set.Contains(w.proc) {
 		return nil
 	}
@@ -1149,7 +1159,7 @@ func (w *worker) batchInstance(req *comm.Requirement, st *ir.Stmt, op eval.Insta
 	}
 	b.count++
 	if w.proc == op.From || op.Dst.Contains(w.proc) {
-		local, lerr := w.st.Eval(req.Use.Ast)
+		local, lerr := w.st.RefValue(req.Use)
 		if lerr != nil {
 			// The statement's own semantics will surface lerr; the batch
 			// just loses its verifiable payload.
@@ -1222,7 +1232,8 @@ func (w *worker) flushBatch() error {
 	// Multicast delivery: the root does not message itself (the cost
 	// model's Multicast excludes the source as well).
 	if w.proc == op.from {
-		for _, p := range op.dst.Procs() {
+		w.procs = op.dst.AppendProcs(w.procs[:0])
+		for _, p := range w.procs {
 			if p == op.from || dropped {
 				continue
 			}

@@ -254,12 +254,18 @@ func Build(src *ast.Program) (*Program, error) {
 		}
 		b.prog.Params[pa.Name] = pa.Value
 	}
+	if err := checkDirectiveRanks(src.Dirs); err != nil {
+		return nil, err
+	}
 	for _, d := range src.Decls {
 		if _, dup := b.prog.Vars[d.Name]; dup {
 			return nil, errfAt(diag.Pos{Line: d.Line, Col: d.Col}, "duplicate declaration of %s", d.Name)
 		}
 		if _, isParam := b.prog.Params[d.Name]; isParam {
 			return nil, errfAt(diag.Pos{Line: d.Line, Col: d.Col}, "%s already declared as parameter", d.Name)
+		}
+		if len(d.Dims) > ast.MaxRank {
+			return nil, errfAt(diag.Pos{Line: d.Line, Col: d.Col}, "array %s has rank %d (at most %d)", d.Name, len(d.Dims), ast.MaxRank)
 		}
 		v := &Var{Name: d.Name, Type: d.Type, DefLoops: map[*Loop]bool{}}
 		for _, de := range d.Dims {
@@ -328,6 +334,25 @@ func Build(src *ast.Program) (*Program, error) {
 		b.analyzeSubscripts(r)
 	}
 	return b.prog, nil
+}
+
+// checkDirectiveRanks rejects PROCESSORS and DISTRIBUTE directives of rank
+// above ast.MaxRank: the processor grid and its processor sets are sized by
+// that limit.
+func checkDirectiveRanks(dirs []ast.Directive) error {
+	for _, d := range dirs {
+		switch x := d.(type) {
+		case *ast.ProcessorsDir:
+			if len(x.Extents) > ast.MaxRank {
+				return errfAt(diag.Pos{Line: x.Line, Col: x.Col}, "processors %s has rank %d (at most %d)", x.Name, len(x.Extents), ast.MaxRank)
+			}
+		case *ast.DistributeDir:
+			if len(x.Formats) > ast.MaxRank {
+				return errfAt(diag.Pos{Line: x.Line, Col: x.Col}, "distribute has %d formats (at most %d)", len(x.Formats), ast.MaxRank)
+			}
+		}
+	}
+	return nil
 }
 
 func (b *builder) buildStmts(stmts []ast.Stmt, loop *Loop) ([]Node, error) {

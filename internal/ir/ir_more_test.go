@@ -212,3 +212,23 @@ end
 		t.Error("inner if missing control dependence")
 	}
 }
+
+// TestRankLimit: arrays, PROCESSORS and DISTRIBUTE directives of rank above
+// ast.MaxRank (Fortran's seven) are positioned E003 errors; rank 7 builds.
+func TestRankLimit(t *testing.T) {
+	for _, tc := range []struct{ name, src, want string }{
+		{"array", "program t\nreal a(2,2,2,2,2,2,2,2)\nend\n",
+			"2:6: error: ir: array a has rank 8 (at most 7) [E003]"},
+		{"processors", "program t\nreal a(2,2)\n!hpf$ processors p(2,2,2,2,2,2,2,2)\nend\n",
+			"3:1: error: ir: processors p has rank 8 (at most 7) [E003]"},
+		{"distribute", "program t\nreal a(2,2)\n!hpf$ distribute (block,block,block,block,block,block,block,block) :: a\nend\n",
+			"3:1: error: ir: distribute has 8 formats (at most 7) [E003]"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := buildErr(t, tc.src).Error(); got != tc.want {
+				t.Errorf("error = %q, want %q", got, tc.want)
+			}
+		})
+	}
+	build(t, "program t\nreal a(2,2,2,2,2,2,2)\n!hpf$ distribute (block,block,block,block,block,block,block) :: a\na(1,1,1,1,1,1,1) = 1.0\nend\n")
+}

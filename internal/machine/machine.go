@@ -136,6 +136,11 @@ type Machine struct {
 	attrStmt  int32
 	attrReq   int32
 	attrClass dist.CommClass
+
+	// srcBuf and dstBuf are the collectives' processor-list buffers
+	// (ProcSet.AppendProcs), reused so charging a collective allocates
+	// nothing.
+	srcBuf, dstBuf []int
 }
 
 // New creates a machine over the given grid.
@@ -354,7 +359,8 @@ func (m *Machine) Send(from, to int, bytes int64) {
 // destinations: ceil(log2(k+1)) rounds of α+bytes/β, synchronizing the
 // destinations behind the source.
 func (m *Machine) Multicast(from int, dst dist.ProcSet, bytes int64) {
-	procs := dst.Procs()
+	m.dstBuf = dst.AppendProcs(m.dstBuf[:0])
+	procs := m.dstBuf
 	k := 0
 	for _, p := range procs {
 		if p != from {
@@ -395,7 +401,8 @@ func (m *Machine) Multicast(from int, dst dist.ProcSet, bytes int64) {
 // advance independently (no global barrier), which matches the pipelined
 // behavior of compiled shift communication.
 func (m *Machine) Shift(set dist.ProcSet, bytesPerProc int64) {
-	procs := set.Procs()
+	m.dstBuf = set.AppendProcs(m.dstBuf[:0])
+	procs := m.dstBuf
 	if len(procs) < 2 {
 		return
 	}
@@ -447,7 +454,8 @@ func (m *Machine) Shift(set dist.ProcSet, bytesPerProc int64) {
 // set, i.e. reduce + broadcast of the 8-byte result folded into
 // ceil(log2 k) + ceil(log2 k) rounds); all participants synchronize.
 func (m *Machine) Reduce(set dist.ProcSet, bytes int64) {
-	procs := set.Procs()
+	m.dstBuf = set.AppendProcs(m.dstBuf[:0])
+	procs := m.dstBuf
 	if len(procs) < 2 {
 		return
 	}
@@ -485,7 +493,8 @@ func (m *Machine) Reduce(set dist.ProcSet, bytes int64) {
 // participants synchronize. merged is the number of partial rows combined,
 // carried on the emitted Reduce event's Merged field.
 func (m *Machine) TreeMerge(set dist.ProcSet, bytes int64, merged int) {
-	procs := set.Procs()
+	m.dstBuf = set.AppendProcs(m.dstBuf[:0])
+	procs := m.dstBuf
 	k := len(procs)
 	if k < 2 {
 		return
@@ -526,7 +535,8 @@ func (m *Machine) TreeMerge(set dist.ProcSet, bytes int64, merged int) {
 // AllToAll models a full exchange among set with bytesPerProc leaving each
 // participant (e.g. a transpose/redistribution); acts as a barrier.
 func (m *Machine) AllToAll(set dist.ProcSet, bytesPerProc int64) {
-	procs := set.Procs()
+	m.dstBuf = set.AppendProcs(m.dstBuf[:0])
+	procs := m.dstBuf
 	k := len(procs)
 	if k < 2 {
 		return
@@ -560,11 +570,13 @@ func (m *Machine) AllToAll(set dist.ProcSet, bytesPerProc int64) {
 // processors in dst (vectorized general communication): each destination
 // receives one aggregated message.
 func (m *Machine) Exchange(src, dst dist.ProcSet, totalBytes int64) {
-	srcProcs := src.Procs()
+	m.srcBuf = src.AppendProcs(m.srcBuf[:0])
+	srcProcs := m.srcBuf
 	if len(srcProcs) == 0 {
 		return
 	}
-	dstProcs := dst.Procs()
+	m.dstBuf = dst.AppendProcs(m.dstBuf[:0])
+	dstProcs := m.dstBuf
 	recv := 0
 	for _, p := range dstProcs {
 		if !src.Contains(p) {

@@ -217,17 +217,18 @@ end
 	}
 }
 
-// TestIntegerStoreRounds: integer variables round assigned values.
+// TestIntegerStoreRounds: integer variables round assigned real values.
 func TestIntegerStoreRounds(t *testing.T) {
 	src := `
 program t
 integer k
-k = 7 / 2
+k = 7.0 / 2
 end
 `
 	out := run(t, src, 1, core.DefaultOptions())
-	// 7/2 evaluates in floating point (3.5) and rounds to 4 on integer
-	// store — Fortran would truncate; our model documents round-to-nearest.
+	// 7.0/2 is real division (3.5), rounded to 4 on integer store —
+	// Fortran would truncate; our model documents round-to-nearest. (7/2,
+	// integer division, truncates to 3: see TestIntegerDivisionTruncates.)
 	if out.Scalars["k"] != 4 {
 		t.Errorf("k = %v, want 4 (round-to-nearest store)", out.Scalars["k"])
 	}
